@@ -15,7 +15,7 @@ from boltzgas.densities import BoxMaxwellianModel
 from boltzgas.diagnostics import gaussian_kl, relative_entropy_kde
 from boltzgas.engine import SimConfig, simulate
 from boltzgas.kernels import HARD_SPHERE, KernelSpec
-from boltzgas.picard import stream
+from boltzgas.rng import stream
 
 
 def main():

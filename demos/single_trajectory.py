@@ -12,7 +12,7 @@ import numpy as np
 from boltzgas.densities import BoxMaxwellianModel
 from boltzgas.engine import SimConfig, simulate
 from boltzgas.kernels import HARD_SPHERE, KernelSpec
-from boltzgas.picard import stream
+from boltzgas.rng import stream
 
 
 def main():

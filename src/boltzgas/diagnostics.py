@@ -560,20 +560,27 @@ def weak_residual(
         raise ValueError("empty ensemble")
     horizon = trajectories[0].horizon if horizon is None else float(horizon)
 
-    comps0 = model.radial_components(0.0)
-    comps1 = model.radial_components(horizon)
-    static = len(comps0) == len(comps1) and all(
-        a.weight == b.weight
-        and a.variance == b.variance
-        and a.power2m == b.power2m
-        for a, b in zip(comps0, comps1)
-    )
     needs_action = collisions and psi.collision_active
-    if needs_action and not static:
-        raise ValueError(
-            "collision quadrature requires a velocity mixture that is "
-            "constant over the window"
+    if needs_action:
+        comps0 = model.radial_components(0.0)
+        comps1 = model.radial_components(horizon)
+        static = (
+            comps0 is not None
+            and comps1 is not None
+            and len(comps0) == len(comps1)
+            and all(
+                a.weight == b.weight
+                and a.variance == b.variance
+                and a.power2m == b.power2m
+                for a, b in zip(comps0, comps1)
+            )
         )
+        if not static:
+            raise ValueError(
+                "collision quadrature requires a radial velocity mixture that "
+                f"is constant over the window, which {type(model).__name__} "
+                "does not provide"
+            )
 
     n = len(trajectories)
     delta = np.empty(n)
@@ -592,10 +599,7 @@ def weak_residual(
         if psi.quad_matrix is None:
             # Position-only observable: the transport integral is the
             # exact increment of psi along the continuous path.
-            transport[i] = float(
-                psi.value(x_end[None], z_end[None])[0]
-                - psi.value(path.positions[:1], path.velocities[:1])[0]
-            )
+            transport[i] = delta[i]
         if needs_action:
             _, lengths, vels, levels = _clipped_segments(path, horizon)
             seg_z.append(vels)

@@ -56,7 +56,10 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "EnvelopeError",
+    "Envelope",
     "majorant_rate",
+    "jump_intensity",
+    "initial_state",
     "simulate",
     "simulate_ensemble",
 ]
@@ -182,54 +185,119 @@ class Trajectory:
         return float(np.linalg.norm(self.velocities, axis=1).max())
 
 
-def _weight_scalars(gamma, level, mean_speed):
-    """Mean of the envelope weight under the marginal.
+class Envelope:
+    """The dominating Poisson measure up to ``horizon``.
 
-    Returns ``E[W(v)]`` for ``W = 1``, ``level + |v|`` or
-    ``1 + level + |v|`` according to ``gamma``.
+    The engine and Picard iteration draw every candidate through one
+    envelope.  It reads the density bound ``F`` and the horizon-wide
+    speed bound from the model once, and turns each point of the
+    constant-rate clock into a candidate by null thinning (Lewis &
+    Shedler 1979) and marking.  Raises for soft potentials, which this
+    envelope cannot dominate.
     """
-    if gamma == 0.0:
-        return 1.0
-    if gamma == 1.0:
-        return level + mean_speed
-    return 1.0 + level + mean_speed
 
+    def __init__(self, model, kernel, horizon):
+        if kernel.gamma < 0.0:
+            raise ValueError(
+                "no finite state-independent envelope exists for gamma < 0"
+            )
+        self.model = model
+        self.kernel = kernel
+        self.horizon = horizon
+        self.f_sup = model.conditional_sup(horizon)
+        self.speed_bound = math.sqrt(model.speed_sq_bound(horizon))
 
-def _weight_values(gamma, level, speeds):
-    if gamma == 0.0:
-        return np.ones_like(speeds)
-    if gamma == 1.0:
-        return level + speeds
-    return 1.0 + level + speeds
+    def _weight(self, level, speed):
+        """Weight ``W`` at ``speed``; affine, so ``E[W]`` at the mean speed."""
+        if self.kernel.gamma == 0.0:
+            return 1.0
+        if self.kernel.gamma == 1.0:
+            return level + speed
+        return 1.0 + level + speed
+
+    def rate(self, level):
+        """Constant candidate rate dominating the jump intensity.
+
+        Equals ``2 pi |Q| c F sup_t E[W(v)]`` with the mean speed bounded
+        through ``E|v| <= sqrt(E|v|^2)``.
+        """
+        w_bar = self._weight(level, self.speed_bound)
+        return (
+            2.0 * math.pi * angular_mass(self.kernel) * self.kernel.c
+            * self.f_sup * w_bar
+        )
+
+    def draw(self, t, level, rng):
+        """Thin the clock point at time ``t`` and mark it if it survives.
+
+        Returns ``None`` for a thinned point, otherwise the marks
+        ``(v, theta, phi, r, bound)``: a velocity from the weighted
+        marginal ``W(v) m(t, v) / E[W]``, the angle pair, the envelope
+        ``bound = c W(v) F`` and a threshold ``r`` uniform under it.
+        """
+        # Null-thin the constant-rate clock down to the time-varying
+        # dominating rate 2 pi |Q| c F E[W](t).  The ratio depends only
+        # on time, never on the particle state, so the remaining points
+        # still form the wanted inhomogeneous Poisson process.
+        w_mean = self._weight(level, self.model.mean_speed(t))
+        w_bar = self._weight(level, self.speed_bound)
+        keep = w_mean / w_bar
+        if keep > 1.0 + 1e-9:
+            raise EnvelopeError(
+                f"mean envelope weight {w_mean} exceeds its horizon bound {w_bar}"
+            )
+        if rng.random() >= keep:
+            return None
+
+        # The weighted marginal mixes the plain marginal (the constant
+        # part of W) with the speed-tilted one.
+        if self.kernel.gamma == 0.0 or (
+            rng.random() * w_mean < self._weight(level, 0.0)
+        ):
+            v = self.model.sample_velocity(t, rng, 1)[0]
+        else:
+            v = self.model.sample_speed_tilted(t, rng, 1)[0]
+        theta = float(sample_theta(self.kernel, rng.random()))
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        bound = self.kernel.c * self._weight(level, np.linalg.norm(v)) * self.f_sup
+        return v, theta, phi, rng.random() * bound, bound
 
 
 def majorant_rate(model, kernel, level, horizon):
-    """Constant candidate rate dominating the jump intensity up to ``horizon``.
+    """Shorthand for ``Envelope(model, kernel, horizon).rate(level)``."""
+    return Envelope(model, kernel, horizon).rate(level)
 
-    Equals ``2 pi |Q| c F sup_t E[W(v)]`` with the mean speed bounded
-    through ``E|v| <= sqrt(E|v|^2)``.  Raises for soft potentials, which
-    this envelope cannot dominate.
+
+def jump_intensity(model, kernel, t, x, z, v, level, bound):
+    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of one candidate.
+
+    Raises :class:`EnvelopeError` when it exceeds the candidate's
+    envelope ``bound``, so a violated bound never gives a wrong law.
     """
-    if kernel.gamma < 0.0:
-        raise ValueError(
-            "no finite state-independent envelope exists for gamma < 0"
+    rel_speed = np.linalg.norm(project_j(z, level) - v)
+    intensity = sigma(kernel, rel_speed) * model.conditional(
+        t, x[np.newaxis], v[np.newaxis]
+    )[0]
+    if intensity > bound * (1.0 + 1e-9):
+        raise EnvelopeError(
+            f"jump intensity {intensity} exceeds envelope {bound} "
+            f"at t={t}, level={level}"
         )
-    f_sup = model.conditional_sup(horizon)
-    speed_bound = math.sqrt(model.speed_sq_bound(horizon))
-    w_bar = _weight_scalars(kernel.gamma, level, speed_bound)
-    return 2.0 * math.pi * angular_mass(kernel) * kernel.c * f_sup * w_bar
+    return intensity
 
 
-def _draw_candidate_velocity(model, kernel, level, t, rng):
-    """One draw from the weighted marginal ``W(v) m(t, v) / E[W]``."""
-    gamma = kernel.gamma
-    if gamma == 0.0:
-        return model.sample_velocity(t, rng, 1)[0]
-    base = level if gamma == 1.0 else 1.0 + level
-    mean_speed = model.mean_speed(t)
-    if rng.random() * (base + mean_speed) < base:
-        return model.sample_velocity(t, rng, 1)[0]
-    return model.sample_speed_tilted(t, rng, 1)[0]
+def initial_state(model, rng, x0=None, z0=None):
+    """Initial pair ``(x0, z0)``; missing parts are drawn at time zero."""
+    if x0 is None or z0 is None:
+        xs, zs = model.sample_state(0.0, rng, 1)
+        x0 = xs[0] if x0 is None else np.asarray(x0, dtype=np.float64)
+        z0 = zs[0] if z0 is None else np.asarray(z0, dtype=np.float64)
+    else:
+        x0 = np.asarray(x0, dtype=np.float64)
+        z0 = np.asarray(z0, dtype=np.float64)
+    if x0.shape != (3,) or z0.shape != (3,):
+        raise ValueError("initial state must be a pair of 3-vectors")
+    return x0, z0
 
 
 def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
@@ -252,16 +320,13 @@ def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
     -------
     (Trajectory, EventLog)
     """
-    if x0 is None or z0 is None:
-        xs, zs = model.sample_state(0.0, rng, 1)
-        x0 = xs[0] if x0 is None else np.asarray(x0, dtype=np.float64)
-        z0 = zs[0] if z0 is None else np.asarray(z0, dtype=np.float64)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        z0 = np.asarray(z0, dtype=np.float64)
-    if x0.shape != (3,) or z0.shape != (3,):
-        raise ValueError("initial state must be a pair of 3-vectors")
+    envelope = Envelope(model, kernel, config.horizon) if config.collisions else None
+    return _simulate(model, envelope, config, rng, x0, z0, log_events)
 
+
+def _simulate(model, envelope, config, rng, x0, z0, log_events):
+    """One trajectory on a prebuilt envelope (``None``: free streaming)."""
+    x0, z0 = initial_state(model, rng, x0, z0)
     horizon = config.horizon
     level = config.level
     if config.escalate:
@@ -274,35 +339,12 @@ def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
     levels = [level]
     log = EventLog()
 
-    if not config.collisions:
-        traj = Trajectory(
-            np.array(times),
-            np.array(positions),
-            np.array(velocities),
-            np.array(levels, dtype=np.float64),
-            horizon,
-        )
-        return traj, log
-
-    f_sup = model.conditional_sup(horizon)
-    speed_bound = math.sqrt(model.speed_sq_bound(horizon))
-    w_bar = _weight_scalars(kernel.gamma, level, speed_bound)
-    rate = majorant_rate(model, kernel, level, horizon)
-    if rate == 0.0:
-        # an angular cutoff at pi leaves a zero-mass measure: no jumps
-        traj = Trajectory(
-            np.array(times),
-            np.array(positions),
-            np.array(velocities),
-            np.array(levels, dtype=np.float64),
-            horizon,
-        )
-        return traj, log
-
+    # an angular cutoff at pi leaves a zero-mass measure: no jumps
+    rate = 0.0 if envelope is None else envelope.rate(level)
     t = 0.0
     x = x0.copy()
     z = z0.copy()
-    while True:
+    while rate > 0.0:
         t = t + rng.exponential(1.0 / rate)
         if t >= horizon:
             break
@@ -310,41 +352,17 @@ def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
             raise RuntimeError(
                 f"candidate count exceeded max_events={config.max_events}"
             )
-
-        # Null-thin the constant-rate clock down to the time-varying
-        # dominating rate 2 pi |Q| c F E[W](t).  The ratio depends only
-        # on time, never on the particle state, so the remaining points
-        # still form the wanted inhomogeneous Poisson process.
-        w_mean = _weight_scalars(kernel.gamma, level, model.mean_speed(t))
-        keep = w_mean / w_bar
-        if keep > 1.0 + 1e-9:
-            raise EnvelopeError(
-                f"mean envelope weight {w_mean} exceeds its horizon bound {w_bar}"
-            )
-        if rng.random() >= keep:
+        marks = envelope.draw(t, level, rng)
+        if marks is None:
             log.n_skipped += 1
             continue
         log.n_candidates += 1
 
-        v = _draw_candidate_velocity(model, kernel, level, t, rng)
-        theta = sample_theta(kernel, rng.random())
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-
+        v, theta, phi, r, bound = marks
         x_now = x + (t - times[-1]) * z
-        w_val = _weight_values(
-            kernel.gamma, level, np.linalg.norm(v)
+        intensity = jump_intensity(
+            model, envelope.kernel, t, x_now, z, v, level, bound
         )
-        bound = kernel.c * w_val * f_sup
-        rel_speed = np.linalg.norm(project_j(z, level) - v)
-        intensity = sigma(kernel, rel_speed) * model.conditional(
-            t, x_now[np.newaxis], v[np.newaxis]
-        )[0]
-        if intensity > bound * (1.0 + 1e-9):
-            raise EnvelopeError(
-                f"jump intensity {intensity} exceeds envelope {bound} "
-                f"at t={t}, level={level}"
-            )
-        r = rng.random() * bound
         accepted = r < intensity
         if accepted:
             log.n_accepted += 1
@@ -354,7 +372,7 @@ def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
                 CandidateRecord(
                     time=t,
                     velocity=v.copy(),
-                    theta=float(theta),
+                    theta=theta,
                     phi=float(phi),
                     r=float(r),
                     bound=float(bound),
@@ -376,8 +394,7 @@ def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
                 level += config.level_step
             # new envelope constants; the exponential clock restarts at
             # this jump time, which is a stopping time
-            w_bar = _weight_scalars(kernel.gamma, level, speed_bound)
-            rate = majorant_rate(model, kernel, level, horizon)
+            rate = envelope.rate(level)
         levels.append(level)
 
     traj = Trajectory(
@@ -396,18 +413,19 @@ def simulate_ensemble(
     """Independent trajectories on per-index Philox streams.
 
     Trajectory ``i`` draws everything from ``stream(seed, i)``, so any
-    subset can be reproduced without replaying the rest.
+    subset can be reproduced without replaying the rest.  The envelope
+    is built once and shared by every trajectory.
 
     Returns
     -------
     (list[Trajectory], list[EventLog])
     """
+    envelope = Envelope(model, kernel, config.horizon) if config.collisions else None
     trajectories = []
     logs = []
     for i in range(n_paths):
-        rng = stream(seed, i)
-        traj, log = simulate(
-            model, kernel, config, rng, x0=x0, z0=z0, log_events=log_events
+        traj, log = _simulate(
+            model, envelope, config, stream(seed, i), x0, z0, log_events
         )
         trajectories.append(traj)
         logs.append(log)

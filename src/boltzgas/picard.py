@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _weight_scalars, _weight_values, majorant_rate
+from .engine import Envelope, initial_state, jump_intensity
 from .geometry import tanaka_rotation
-from .kernels import sample_theta, sigma
 from .rng import stream
 from .truncation import alpha_j, project_j
 
@@ -131,57 +130,31 @@ def frozen_noise(model, kernel, level, horizon, rng, x0=None, z0=None):
     survivors receive a velocity from the weighted marginal, an angle
     pair, and an acceptance threshold uniform under the envelope.
     """
+    return _frozen_noise(Envelope(model, kernel, horizon), level, rng, x0, z0)
+
+
+def _frozen_noise(envelope, level, rng, x0, z0):
+    """Atom list of one realization on a prebuilt envelope."""
     if level < 1.0:
         raise ValueError("truncation level must be >= 1")
-    if x0 is None or z0 is None:
-        xs, zs = model.sample_state(0.0, rng, 1)
-        x0 = xs[0] if x0 is None else np.asarray(x0, dtype=np.float64)
-        z0 = zs[0] if z0 is None else np.asarray(z0, dtype=np.float64)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        z0 = np.asarray(z0, dtype=np.float64)
-
-    f_sup = model.conditional_sup(horizon)
-    speed_bound = math.sqrt(model.speed_sq_bound(horizon))
-    w_bar = _weight_scalars(kernel.gamma, level, speed_bound)
-    rate = majorant_rate(model, kernel, level, horizon)
-
-    n_raw = rng.poisson(rate * horizon)
+    x0, z0 = initial_state(envelope.model, rng, x0, z0)
+    horizon = envelope.horizon
+    n_raw = rng.poisson(envelope.rate(level) * horizon)
     times_raw = np.sort(rng.uniform(0.0, horizon, n_raw))
-
-    times, vels, thetas, phis, thresholds, bounds = [], [], [], [], [], []
-    gamma = kernel.gamma
-    base = level if gamma == 1.0 else 1.0 + level
+    atoms = []
     for t in times_raw:
-        w_mean = _weight_scalars(gamma, level, model.mean_speed(t))
-        if rng.random() >= w_mean / w_bar:
-            continue
-        if gamma == 0.0:
-            v = model.sample_velocity(t, rng, 1)[0]
-        elif rng.random() * (base + model.mean_speed(t)) < base:
-            v = model.sample_velocity(t, rng, 1)[0]
-        else:
-            v = model.sample_speed_tilted(t, rng, 1)[0]
-        theta = float(sample_theta(kernel, rng.random()))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        bound = kernel.c * f_sup * float(
-            _weight_values(gamma, level, np.linalg.norm(v))
-        )
-        times.append(t)
-        vels.append(v)
-        thetas.append(theta)
-        phis.append(phi)
-        thresholds.append(rng.random() * bound)
-        bounds.append(bound)
-
-    n = len(times)
+        marks = envelope.draw(t, level, rng)
+        if marks is not None:
+            atoms.append((t, *marks))
+    columns = list(zip(*atoms)) or [()] * 6
+    times, vels, thetas, phis, thresholds, bounds = map(np.array, columns)
     return FrozenNoise(
-        times=np.array(times),
-        velocities=np.array(vels).reshape(n, 3),
-        thetas=np.array(thetas),
-        phis=np.array(phis),
-        thresholds=np.array(thresholds),
-        bounds=np.array(bounds),
+        times=times,
+        velocities=vels.reshape(len(times), 3),
+        thetas=thetas,
+        phis=phis,
+        thresholds=thresholds,
+        bounds=bounds,
         x0=x0,
         z0=z0,
         level=level,
@@ -227,24 +200,21 @@ def picard_pass(model, kernel, noise, prev):
         v = noise.velocities[a]
         base_now = prev.z_left[a]
         base_old = prev.base_z_left[a]
-        turn = tanaka_rotation(
-            project_j(base_old, j), v, project_j(base_now, j), v
-        )
-        psi[a] = prev.psi[a] + turn
+        psi[a] = prev.psi[a]
+        # an unchanged base keeps its frame; tanaka_rotation would
+        # return roundoff instead of an exact zero turn
+        if not np.array_equal(base_now, base_old):
+            psi[a] += tanaka_rotation(
+                project_j(base_old, j), v, project_j(base_now, j), v
+            )
 
         z_left[a] = z
         x_here = x + (s - t_last) * z
         x_at[a] = x_here
 
-        rel = np.linalg.norm(project_j(base_now, j) - v)
-        intensity = sigma(kernel, rel) * model.conditional(
-            s, prev.x_at[a][np.newaxis], v[np.newaxis]
-        )[0]
-        if intensity > noise.bounds[a] * (1.0 + 1e-9):
-            raise RuntimeError(
-                f"jump intensity {intensity} exceeds the frozen envelope "
-                f"{noise.bounds[a]} at atom {a}"
-            )
+        intensity = jump_intensity(
+            model, kernel, s, prev.x_at[a], base_now, v, j, noise.bounds[a]
+        )
         if noise.thresholds[a] <= intensity:
             accepted[a] = True
             kick = alpha_j(base_now, v, noise.thetas[a], psi[a], j)
@@ -358,14 +328,15 @@ def contraction_profile(
 ):
     """Distance profile of the Picard scheme over independent noises.
 
-    Realization ``i`` runs entirely on ``stream(seed, i)``.
+    Realization ``i`` runs entirely on ``stream(seed, i)``; the
+    envelope is built once and shared by every realization.
     """
     if n_iterates < 2:
         raise ValueError("need at least two passes to measure a distance")
+    envelope = Envelope(model, kernel, horizon)
     dist = np.empty((n_realizations, n_iterates))
     for i in range(n_realizations):
-        rng = stream(seed, i)
-        noise = frozen_noise(model, kernel, level, horizon, rng, x0=x0, z0=z0)
+        noise = _frozen_noise(envelope, level, stream(seed, i), x0, z0)
         paths = picard_iterates(model, kernel, noise, n_iterates)
         for k in range(n_iterates):
             dist[i, k] = supremum_distance(paths[k + 1], paths[k])

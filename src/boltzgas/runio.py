@@ -49,7 +49,8 @@ def write_event_log(path, log):
     """Write one JSONL record per proposed candidate event.
 
     Record keys: ``s`` (proposal time), ``v`` (candidate velocity),
-    ``theta``, ``phi``, ``r`` (acceptance ratio), ``accepted``,
+    ``theta``, ``phi``, ``r`` (the absolute threshold ``u * bound``,
+    accepted when it lies below the jump intensity), ``accepted``,
     ``level``.  Requires a log kept with full records.
     """
     lines = []

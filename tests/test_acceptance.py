@@ -45,7 +45,8 @@ from boltzgas.diagnostics import (
 from boltzgas.engine import SimConfig, simulate, simulate_ensemble
 from boltzgas.geometry import deflection_alpha, gamma, tanaka_rotation
 from boltzgas.kernels import HARD_SPHERE, KernelSpec
-from boltzgas.picard import contraction_profile, stream
+from boltzgas.picard import contraction_profile
+from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, energy_defect, project_j
 
 MAXWELL = KernelSpec(gamma=0.0, c=1.0, angular=HARD_SPHERE)

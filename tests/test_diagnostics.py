@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boltzgas import densities, diagnostics, engine, kernels
+from boltzgas import densities, diagnostics, engine, kernels, particles
 from boltzgas.diagnostics import (
     CompactBump,
     Constant,
@@ -29,6 +29,7 @@ from boltzgas.diagnostics import (
 )
 from boltzgas.geometry import deflection_alpha
 from boltzgas.quadrature import gauss_hermite_3d, gauss_legendre
+from boltzgas.rng import stream
 
 MAXWELL_KERNEL = kernels.KernelSpec(
     gamma=0.0, c=1.1, angular=kernels.HARD_SPHERE
@@ -380,6 +381,19 @@ class TestWeakResidual:
                 trajectories, blob, MAXWELL_KERNEL, psi, collisions=False
             )
             assert rep.difference == 0.0
+
+    def test_model_without_radial_mixture(self):
+        snapshot = particles.maxwellian_ensemble(130, stream(1, 0))
+        model = snapshot.to_empirical_model()
+        config = engine.SimConfig(horizon=0.2, collisions=False)
+        trajectories, _ = engine.simulate_ensemble(
+            model, HS_KERNEL, config, seed=2, n_paths=10
+        )
+        bump = CompactBump(center=[0.5, 0.5, 0.5], radius=0.8)
+        rep = weak_residual(trajectories, model, HS_KERNEL, bump)
+        assert rep.difference == 0.0
+        with pytest.raises(ValueError, match="MollifiedEmpiricalModel"):
+            weak_residual(trajectories, model, HS_KERNEL, Energy())
 
     def test_window_beyond_horizon_rejected(self, box_ensemble):
         with pytest.raises(ValueError, match="horizon"):

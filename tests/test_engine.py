@@ -59,6 +59,24 @@ class TestMajorantRate:
             engine.majorant_rate(box, soft, 4.0, 1.0)
 
 
+class TestSharedEnvelope:
+    def test_one_speed_bound_per_ensemble(self):
+        class CountingBox(densities.BoxMaxwellianModel):
+            speed_bound_calls = 0
+
+            def speed_sq_bound(self, horizon):
+                self.speed_bound_calls += 1
+                return super().speed_sq_bound(horizon)
+
+        box = CountingBox(side=1.0, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=1.0, level=1.0, level_step=1.0)
+        trajs, _ = engine.simulate_ensemble(
+            box, HARD_SPHERE_LINEAR, cfg, seed=3, n_paths=20
+        )
+        assert any(traj.levels[-1] > traj.levels[0] for traj in trajs)
+        assert box.speed_bound_calls == 1
+
+
 class TestFlatKernelBox:
     """gamma = 0 in a box makes every candidate a jump.
 

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import densities, kernels, picard
-from boltzgas.engine import majorant_rate
+from boltzgas.engine import EnvelopeError, majorant_rate
 from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, project_j
 
@@ -81,6 +81,18 @@ class TestPicardPass:
         zero = picard.initial_iterate(noise)
         one = picard.picard_pass(BOX, SPEC, noise, zero)
         assert_allclose(one.psi, noise.phis, rtol=0, atol=1e-12)
+
+    def test_envelope_violation_raises(self):
+        class LyingModel(densities.BoxMaxwellianModel):
+            def conditional_sup(self, horizon):
+                return 0.1 * super().conditional_sup(horizon)
+
+        box = LyingModel(side=1.0, vel_var=1.0)
+        flat = kernels.KernelSpec(gamma=0.0, c=1.0, angular=kernels.HARD_SPHERE)
+        noise = picard.frozen_noise(box, flat, 4.0, 10.0, stream(5, 0))
+        assert noise.n_atoms > 0
+        with pytest.raises(EnvelopeError, match="exceeds envelope"):
+            picard.picard_pass(box, flat, noise, picard.initial_iterate(noise))
 
     def test_kicks_use_previous_iterate_base(self):
         noise = make_noise(seed=21)
@@ -212,6 +224,33 @@ class TestContraction:
         means = rep.mean()
         assert means[1] > means[2] > means[3] > means[4]
         assert rep.nonincreasing_from(2)
+
+    def test_settled_decisions_reach_exact_fixed_point(self):
+        # an atom whose base did not move keeps its angle bit for bit,
+        # so once the decisions settle the iterates coincide exactly
+        noise = make_noise(seed=2024, index=99, horizon=0.5)
+        paths = picard.picard_iterates(BOX, SPEC, noise, 10)
+        changed = [
+            k
+            for k in range(1, 11)
+            if not np.array_equal(paths[k].accepted, paths[k - 1].accepted)
+        ]
+        assert changed[-1] == 6
+        assert picard.supremum_distance(paths[10], paths[9]) == 0.0
+
+    def test_one_speed_bound_per_profile(self):
+        class CountingBox(densities.BoxMaxwellianModel):
+            speed_bound_calls = 0
+
+            def speed_sq_bound(self, horizon):
+                self.speed_bound_calls += 1
+                return super().speed_sq_bound(horizon)
+
+        box = CountingBox(side=1.0, vel_var=1.0)
+        picard.contraction_profile(
+            box, SPEC, 4.0, 0.1, n_iterates=2, n_realizations=5, seed=1
+        )
+        assert box.speed_bound_calls == 1
 
     def test_late_iterates_nearly_coincide(self):
         noise = make_noise(seed=55, horizon=0.15)
