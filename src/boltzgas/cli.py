@@ -322,6 +322,10 @@ def _command_run(args):
         out.cleanup()
         print(f"boltzgas: run failed: {exc}", file=sys.stderr)
         return 1
+    except BaseException:
+        # An interrupt or exit must not leave a partial run behind.
+        out.cleanup()
+        raise
     write_manifest(
         os.path.join(out_dir, "manifest.json"),
         digest,

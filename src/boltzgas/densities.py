@@ -37,6 +37,8 @@ from .quadrature import gauss_hermite_3d, radial_gaussian_moment
 
 __all__ = [
     "DensityModel",
+    "RadialMixtureModel",
+    "RadialBoxModel",
     "GaussianProductModel",
     "BoxMaxwellianModel",
     "BKWModel",
@@ -67,6 +69,8 @@ def maxwell_abs_moment(variance, p):
 
 def _tilted_abs_moment(variance, p, power2m):
     """``E|V|^p`` under the density proportional to ``|v|^(2m) N(v; s I)``."""
+    if power2m == 0:
+        return maxwell_abs_moment(variance, p)
     return maxwell_abs_moment(variance, p + 2 * power2m) / maxwell_abs_moment(
         variance, 2 * power2m
     )
@@ -90,6 +94,27 @@ def _sample_radius(rng, n, variance, radial_power):
     """
     y = rng.gamma(shape=(radial_power + 1) / 2.0, scale=2.0, size=n)
     return np.sqrt(variance * y)
+
+
+def _radial_vectors(rng, n, component, radial_offset):
+    """Draws with radial power ``2m + radial_offset`` for one component."""
+    power = 2 * component.power2m + radial_offset
+    r = _sample_radius(rng, n, component.variance, power)
+    return r[:, None] * _uniform_directions(rng, n)
+
+
+def _fill_radial(out, u, probs, comps, rng, radial_offset, first):
+    """Overwrite the rows of each component from ``first`` on with its draws.
+
+    Component ``k`` takes the rows with ``S_{k+1} <= u < S_k``, where
+    ``S_k = sum_{i>=k} p_i``; component 0 takes every row with ``u >= S_1``.
+    """
+    below = [u < sum(probs[k:]) for k in range(1, len(probs))]
+    rows = [~below[0]] + [b & ~nb for b, nb in zip(below, below[1:])] + below[-1:]
+    for k in range(first, len(comps)):
+        cnt = np.count_nonzero(rows[k])
+        if cnt:
+            out[rows[k]] = _radial_vectors(rng, cnt, comps[k], radial_offset)
 
 
 def _gaussian_pdf_3d(delta, variance):
@@ -159,9 +184,9 @@ class DensityModel(ABC):
     def sample_state(self, t, rng, n):
         """Draw ``(x, v)`` pairs from the joint density at time ``t``."""
 
-    @abstractmethod
     def mean_speed(self, t):
         """Exact ``E|V|`` under the marginal at time ``t``."""
+        return self.speed_moment(t, 1)
 
     @abstractmethod
     def speed_moment(self, t, p):
@@ -192,13 +217,72 @@ class DensityModel(ABC):
     def radial_components(self, t):
         """Centred radial-power Gaussian decomposition of the marginal.
 
-        Returns a list of :class:`RadialComponent` whose weighted sum is
-        ``m(t, .)``, or None when no such decomposition exists.
+        Returns a sequence of :class:`RadialComponent` whose weighted sum
+        is ``m(t, .)``, or None when no such decomposition exists.
         """
         return None
 
 
-class GaussianProductModel(DensityModel):
+class RadialMixtureModel(DensityModel):
+    """Family whose velocity marginal is a finite radial-power Gaussian mixture.
+
+    Subclasses give :meth:`radial_components`, with component 0 the plain
+    Gaussian (``power2m == 0``); the marginal, both velocity samplers and
+    the speed moments follow from it.  A sampler picks component ``k``
+    when ``u < sum_{i >= k} p_i`` for one uniform ``u`` per draw, and a
+    single-component mixture draws no ``u`` at all.
+    """
+
+    @abstractmethod
+    def radial_components(self, t):
+        """Mixture components at time ``t``; component 0 is the plain Gaussian."""
+
+    def velocity_marginal(self, t, v):
+        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+        r2 = np.sum(v * v, axis=-1)
+        terms = []
+        exp_var = None
+        for c in self.radial_components(t):
+            if c.variance != exp_var:
+                exp_var = c.variance
+                gauss = np.exp(-0.5 * r2 / exp_var)
+            coef = c.weight * (2.0 * math.pi * exp_var) ** -1.5
+            if c.power2m:
+                z_m = maxwell_abs_moment(exp_var, 2 * c.power2m)
+                coef = coef / z_m * r2**c.power2m
+            terms.append(coef * gauss)
+        return sum(terms[1:], terms[0])
+
+    def sample_velocity(self, t, rng, n):
+        comps = self.radial_components(t)
+        u = rng.random(n) if len(comps) > 1 else None
+        # A plain Gaussian draw for every row, then the others overwrite theirs.
+        out = math.sqrt(comps[0].variance) * rng.standard_normal((n, 3))
+        if u is not None:
+            _fill_radial(out, u, [c.weight for c in comps], comps, rng, 2, first=1)
+        return out
+
+    def sample_speed_tilted(self, t, rng, n):
+        comps = self.radial_components(t)
+        if len(comps) == 1:
+            return _radial_vectors(rng, n, comps[0], 3)
+        masses = [
+            c.weight * _tilted_abs_moment(c.variance, 1, c.power2m) for c in comps
+        ]
+        total = sum(masses)
+        u = rng.random(n)
+        out = np.empty((n, 3))
+        _fill_radial(out, u, [m / total for m in masses], comps, rng, 3, first=0)
+        return out
+
+    def speed_moment(self, t, p):
+        total = 0.0
+        for c in self.radial_components(t):
+            total += c.weight * _tilted_abs_moment(c.variance, p, c.power2m)
+        return total
+
+
+class GaussianProductModel(RadialMixtureModel):
     """Maxwellian velocities times an isotropic Gaussian position bump.
 
     With ``drift="static"`` the density is constant in time,
@@ -223,6 +307,10 @@ class GaussianProductModel(DensityModel):
         self.pos_var = float(pos_var)
         self.drift = drift
         self.box_side = None
+        self._components = (RadialComponent(1.0, self.vel_var, 0),)
+
+    def radial_components(self, t):
+        return self._components
 
     def _center(self, t, v):
         if self.drift == "free_transport":
@@ -233,35 +321,18 @@ class GaussianProductModel(DensityModel):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         pos = _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
-        return pos * _gaussian_pdf_3d(v, self.vel_var)
-
-    def velocity_marginal(self, t, v):
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        return _gaussian_pdf_3d(v, self.vel_var)
+        return pos * self.velocity_marginal(t, v)
 
     def conditional_sup(self, horizon):
         return (2.0 * math.pi * self.pos_var) ** -1.5
-
-    def sample_velocity(self, t, rng, n):
-        return math.sqrt(self.vel_var) * rng.standard_normal((n, 3))
-
-    def sample_speed_tilted(self, t, rng, n):
-        r = _sample_radius(rng, n, self.vel_var, 3)
-        return r[:, None] * _uniform_directions(rng, n)
 
     def sample_state(self, t, rng, n):
         v = self.sample_velocity(t, rng, n)
         x = self._center(t, v) + math.sqrt(self.pos_var) * rng.standard_normal((n, 3))
         return x, v
 
-    def mean_speed(self, t):
-        return maxwell_abs_moment(self.vel_var, 1)
-
-    def speed_moment(self, t, p):
-        return maxwell_abs_moment(self.vel_var, p)
-
     def moment_bound(self, p, horizon):
-        return self.conditional_sup(horizon) * maxwell_abs_moment(self.vel_var, p)
+        return self.conditional_sup(horizon) * self.speed_moment(0.0, p)
 
     def gradient_moment_bound(self, horizon):
         # sup_r r exp(-r^2 / (2 pv)) / pv is attained at r = sqrt(pv).
@@ -279,20 +350,15 @@ class GaussianProductModel(DensityModel):
         f = self.evaluate(t, x, v)
         return -f[:, None] * delta / self.pos_var
 
-    def radial_components(self, t):
-        return [RadialComponent(1.0, self.vel_var, 0)]
 
+class RadialBoxModel(RadialMixtureModel):
+    """Spatially uniform radial mixture on a periodic box.
 
-class BoxMaxwellianModel(DensityModel):
-    """Spatially uniform Maxwellian on a periodic box.
-
-    f(t, x, v) = N(v; 0, vel_var I) / side^3 for x in [0, side)^3.
-
-    This law is stationary for the collision dynamics, so it doubles as
-    the reference equilibrium in relaxation and entropy experiments.
+    f(t, x, v) = m(t, v) / side^3 for x in [0, side)^3, with ``m`` the
+    mixture of :meth:`radial_components`.
     """
 
-    def __init__(self, side=1.0, vel_var=1.0):
+    def __init__(self, side, vel_var):
         if side <= 0.0 or vel_var <= 0.0:
             raise ValueError("box side and velocity variance must be positive")
         self.side = float(side)
@@ -301,37 +367,23 @@ class BoxMaxwellianModel(DensityModel):
 
     def evaluate(self, t, x, v):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        n = max(x.shape[0], v.shape[0])
-        return np.full(n, self.side**-3) * _gaussian_pdf_3d(v, self.vel_var)
-
-    def velocity_marginal(self, t, v):
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        return _gaussian_pdf_3d(v, self.vel_var)
+        marg = self.velocity_marginal(t, v)
+        if x.shape[0] > marg.shape[0]:
+            marg = np.broadcast_to(marg, (x.shape[0],))
+        return marg * self.side**-3
 
     def conditional_sup(self, horizon):
         return self.side**-3
-
-    def sample_velocity(self, t, rng, n):
-        return math.sqrt(self.vel_var) * rng.standard_normal((n, 3))
-
-    def sample_speed_tilted(self, t, rng, n):
-        r = _sample_radius(rng, n, self.vel_var, 3)
-        return r[:, None] * _uniform_directions(rng, n)
 
     def sample_state(self, t, rng, n):
         x = self.side * rng.random((n, 3))
         v = self.sample_velocity(t, rng, n)
         return x, v
 
-    def mean_speed(self, t):
-        return maxwell_abs_moment(self.vel_var, 1)
-
-    def speed_moment(self, t, p):
-        return maxwell_abs_moment(self.vel_var, p)
-
     def moment_bound(self, p, horizon):
-        return self.side**-3 * maxwell_abs_moment(self.vel_var, p)
+        grid = np.linspace(0.0, horizon, 2049)
+        values = np.array([self.speed_moment(t, p) for t in grid])
+        return self.side**-3 * float(values.max()) * (1.0 + 1e-9)
 
     def gradient_moment_bound(self, horizon):
         return 0.0
@@ -342,11 +394,25 @@ class BoxMaxwellianModel(DensityModel):
         n = max(x.shape[0], v.shape[0])
         return np.zeros((n, 3))
 
+
+class BoxMaxwellianModel(RadialBoxModel):
+    """Spatially uniform Maxwellian on a periodic box.
+
+    f(t, x, v) = N(v; 0, vel_var I) / side^3 for x in [0, side)^3.
+
+    This law is stationary for the collision dynamics, so it doubles as
+    the reference equilibrium in relaxation and entropy experiments.
+    """
+
+    def __init__(self, side=1.0, vel_var=1.0):
+        super().__init__(side, vel_var)
+        self._components = (RadialComponent(1.0, self.vel_var, 0),)
+
     def radial_components(self, t):
-        return [RadialComponent(1.0, self.vel_var, 0)]
+        return self._components
 
 
-class BKWModel(DensityModel):
+class BKWModel(RadialBoxModel):
     """Bobylev-Krook-Wu relaxing family on a periodic box.
 
     The velocity marginal is the classical closed-form solution of the
@@ -364,113 +430,36 @@ class BKWModel(DensityModel):
     """
 
     def __init__(self, side=1.0, vel_var=1.0, c0=0.4, rate=1.0):
-        if side <= 0.0 or vel_var <= 0.0:
-            raise ValueError("box side and velocity variance must be positive")
+        super().__init__(side, vel_var)
         if not 0.0 < c0 <= 0.4:
             raise ValueError("c0 must lie in (0, 2/5] for a nonnegative density")
         if rate <= 0.0:
             raise ValueError("relaxation rate must be positive")
-        self.side = float(side)
-        self.vel_var = float(vel_var)
         self.c0 = float(c0)
         self.rate = float(rate)
-        self.box_side = self.side
+        self._last_mixture = (None, ())
 
     def shape_factor(self, t):
         """``K(t) = 1 - c0 exp(-rate t)``, increasing from ``1 - c0`` to 1."""
         return 1.0 - self.c0 * math.exp(-self.rate * t)
-
-    def _weights(self, t):
-        k = self.shape_factor(t)
-        w1 = (5.0 * k - 3.0) / (2.0 * k)
-        w2 = 3.0 * (1.0 - k) / (2.0 * k)
-        return k, w1, w2
-
-    def velocity_marginal(self, t, v):
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        base = _gaussian_pdf_3d(v, sk)
-        tilt = np.sum(v * v, axis=-1) / (3.0 * sk)
-        return base * (w1 + w2 * tilt)
-
-    def evaluate(self, t, x, v):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        marg = self.velocity_marginal(t, v)
-        if x.shape[0] > marg.shape[0]:
-            marg = np.broadcast_to(marg, (x.shape[0],))
-        return marg * self.side**-3
-
-    def conditional_sup(self, horizon):
-        return self.side**-3
-
-    def sample_velocity(self, t, rng, n):
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        pick_tilt = rng.random(n) < w2
-        out = math.sqrt(sk) * rng.standard_normal((n, 3))
-        n_tilt = int(pick_tilt.sum())
-        if n_tilt:
-            r = _sample_radius(rng, n_tilt, sk, 4)
-            out[pick_tilt] = r[:, None] * _uniform_directions(rng, n_tilt)
-        return out
-
-    def sample_speed_tilted(self, t, rng, n):
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        mass1 = w1 * maxwell_abs_moment(sk, 1)
-        mass2 = w2 * _tilted_abs_moment(sk, 1, 1)
-        prob2 = mass2 / (mass1 + mass2)
-        pick2 = rng.random(n) < prob2
-        powers = np.where(pick2, 5, 3)
-        out = np.empty((n, 3))
-        for radial_power in (3, 5):
-            mask = powers == radial_power
-            cnt = int(mask.sum())
-            if cnt:
-                r = _sample_radius(rng, cnt, sk, radial_power)
-                out[mask] = r[:, None] * _uniform_directions(rng, cnt)
-        return out
-
-    def sample_state(self, t, rng, n):
-        x = self.side * rng.random((n, 3))
-        v = self.sample_velocity(t, rng, n)
-        return x, v
-
-    def mean_speed(self, t):
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        return w1 * maxwell_abs_moment(sk, 1) + w2 * _tilted_abs_moment(sk, 1, 1)
-
-    def speed_moment(self, t, p):
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        return w1 * maxwell_abs_moment(sk, p) + w2 * _tilted_abs_moment(sk, p, 1)
 
     def fourth_moment(self, t):
         """Closed form ``E|V|^4 = 15 s^2 K(t) (2 - K(t))``."""
         k = self.shape_factor(t)
         return 15.0 * self.vel_var**2 * k * (2.0 - k)
 
-    def moment_bound(self, p, horizon):
-        grid = np.linspace(0.0, horizon, 2049)
-        values = np.array([self.speed_moment(t, p) for t in grid])
-        return self.side**-3 * float(values.max()) * (1.0 + 1e-9)
-
-    def gradient_moment_bound(self, horizon):
-        return 0.0
-
-    def grad_x(self, t, x, v):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        n = max(x.shape[0], v.shape[0])
-        return np.zeros((n, 3))
-
     def radial_components(self, t):
-        k, w1, w2 = self._weights(t)
-        sk = self.vel_var * k
-        return [RadialComponent(w1, sk, 0), RadialComponent(w2, sk, 1)]
+        # Each jump candidate reads the mixture several times at one time.
+        last_t, comps = self._last_mixture
+        if t != last_t:
+            k = self.shape_factor(t)
+            sk = self.vel_var * k
+            comps = (
+                RadialComponent((5.0 * k - 3.0) / (2.0 * k), sk, 0),
+                RadialComponent(3.0 * (1.0 - k) / (2.0 * k), sk, 1),
+            )
+            self._last_mixture = (t, comps)
+        return comps
 
 
 class MollifiedEmpiricalModel(DensityModel):
@@ -606,6 +595,10 @@ class MollifiedEmpiricalModel(DensityModel):
 
     def mean_speed(self, t):
         return float(self._tilt_masses.mean())
+
+    def speed_sq_bound(self, horizon):
+        # The snapshot is frozen, so one evaluation covers every t.
+        return self.speed_moment(0.0, 2) * (1.0 + 1e-9)
 
     def speed_moment(self, t, p):
         vals = radial_gaussian_moment(self._speeds, self.h_v**2, 0, p)

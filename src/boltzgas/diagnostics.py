@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .densities import BKWModel, BoxMaxwellianModel, GaussianProductModel
+from .densities import GaussianProductModel, RadialBoxModel
 from .geometry import deflection_alpha
 from .kernels import angular_weighted_mass
 from .quadrature import gauss_hermite_3d, gauss_legendre, radial_gaussian_moment
@@ -384,7 +384,7 @@ def collision_action(model, kernel, psi, t, z, level=None, n_nodes=400):
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if psi.quad_matrix is None:
         return np.zeros(z.shape[0])
-    if not isinstance(model, (BoxMaxwellianModel, BKWModel)):
+    if not isinstance(model, RadialBoxModel):
         raise ValueError(
             "collision action needs a spatially uniform background"
         )
@@ -411,7 +411,7 @@ def _pair_overlap(model, t):
     bumps overlap to ``(4 pi pos_var)^{-3/2}``, picking up a Gaussian
     factor in ``t |v - z|`` when the bump rides free transport.
     """
-    if isinstance(model, (BoxMaxwellianModel, BKWModel)):
+    if isinstance(model, RadialBoxModel):
         return model.side**-3, None
     if isinstance(model, GaussianProductModel):
         pref = (4.0 * math.pi * model.pos_var) ** -1.5

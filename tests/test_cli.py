@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -197,10 +198,18 @@ class TestCliValidate:
 
     def test_console_entry_point(self, tmp_path):
         path = _write(tmp_path, _base_config())
+        # the child imports the same package as this process, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "boltzgas.cli", "validate", "--config", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "config OK" in proc.stdout
@@ -442,4 +451,17 @@ class TestCliRun:
         out = tmp_path / "out"
         assert _run_cli("run", "--config", path, "--out", str(out)) == 1
         assert "reference_variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
+        def interrupted(cfg, seed, out, digest):
+            with open(out.path("trajectory_0000.csv"), "w") as fh:
+                fh.write("t\n0.0\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_execute", interrupted)
+        path = _write(tmp_path, _base_config())
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            _run_cli("run", "--config", path, "--out", str(out))
         assert not out.exists()

@@ -12,12 +12,15 @@ from boltzgas.densities import (
     BoxMaxwellianModel,
     GaussianProductModel,
     MollifiedEmpiricalModel,
+    RadialBoxModel,
+    RadialComponent,
     bkw_fourth_moment,
     bkw_relaxation_rate,
     certify_hypotheses,
     maxwell_abs_moment,
 )
 from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
+from boltzgas.quadrature import gauss_hermite_3d
 from boltzgas.rng import stream
 
 
@@ -202,6 +205,54 @@ class TestBKWModel:
             BKWModel(c0=0.2, rate=0.0)
 
 
+class TwoVarianceBox(RadialBoxModel):
+    """Plain Gaussian plus a |v|^2-tilted Gaussian of another variance."""
+
+    def __init__(self):
+        super().__init__(side=1.5, vel_var=0.6)
+
+    def radial_components(self, t):
+        return [RadialComponent(0.3, 0.6, 0), RadialComponent(0.7, 1.8, 1)]
+
+
+class TestRadialMixture:
+    def setup_method(self):
+        self.model = TwoVarianceBox()
+
+    def test_marginal_integrates_to_one(self):
+        nodes, weights = gauss_hermite_3d(40, 1.8)
+        gauss = (2 * math.pi * 1.8) ** -1.5 * np.exp(
+            -0.5 * np.sum(nodes * nodes, axis=1) / 1.8
+        )
+        mass = np.sum(weights * self.model.velocity_marginal(0.0, nodes) / gauss)
+        assert_allclose(mass, 1.0, rtol=1e-10)
+
+    def test_marginal_is_weighted_component_sum(self):
+        v = stream(12, 0).standard_normal((200, 3)) * 1.5
+        r2 = np.sum(v * v, axis=1)
+        plain = (2 * math.pi * 0.6) ** -1.5 * np.exp(-0.5 * r2 / 0.6)
+        tilted = (
+            r2 / (3 * 1.8) * (2 * math.pi * 1.8) ** -1.5 * np.exp(-0.5 * r2 / 1.8)
+        )
+        expected = 0.3 * plain + 0.7 * tilted
+        assert_allclose(self.model.velocity_marginal(0.0, v), expected, rtol=1e-13)
+        joint = self.model.evaluate(0.0, np.zeros((200, 3)), v)
+        assert_allclose(joint, expected / 1.5**3, rtol=1e-13)
+
+    def test_samplers_match_moments(self):
+        rng = stream(13, 0)
+        v = self.model.sample_velocity(0.0, rng, 200000)
+        speeds2 = np.sum(v * v, axis=1)
+        se = speeds2.std() / math.sqrt(len(speeds2))
+        # E|V|^2 is 3 s for the plain part and 5 s for the |v|^2 tilt
+        assert_allclose(self.model.speed_moment(0.0, 2), 0.3 * 1.8 + 0.7 * 9.0)
+        assert abs(speeds2.mean() - self.model.speed_moment(0.0, 2)) < 4 * se
+        vt = self.model.sample_speed_tilted(0.0, rng, 200000)
+        inv = 1.0 / np.linalg.norm(vt, axis=1)
+        se = inv.std() / math.sqrt(len(inv))
+        assert abs(inv.mean() - 1.0 / self.model.mean_speed(0.0)) < 4 * se
+
+
 class TestMomentOracle:
     def test_matches_closed_family_when_started_in_it(self):
         # a tagged particle initialised in the relaxing bath law must
@@ -274,6 +325,22 @@ class TestMollifiedEmpiricalModel:
         expected = model.speed_moment(0.0, 2) / model.mean_speed(0.0)
         se = speeds.std() / math.sqrt(len(speeds))
         assert abs(speeds.mean() - expected) < 4 * se
+
+    def test_speed_sq_bound_evaluates_once(self):
+        model = self.make_model(n=40)
+        calls = []
+
+        class Counting(MollifiedEmpiricalModel):
+            def speed_moment(self, t, p):
+                calls.append((t, p))
+                return super().speed_moment(t, p)
+
+        counting = Counting(
+            model.positions, model.velocities, model.h_x, model.h_v, side=2.0
+        )
+        bound = counting.speed_sq_bound(5.0)
+        assert calls == [(0.0, 2)]
+        assert bound == model.speed_moment(0.0, 2) * (1.0 + 1e-9)
 
     def test_conditional_sup_is_a_bound(self):
         model = self.make_model(n=50)
