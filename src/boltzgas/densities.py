@@ -372,6 +372,12 @@ class RadialBoxModel(RadialMixtureModel):
             marg = np.broadcast_to(marg, (x.shape[0],))
         return marg * self.side**-3
 
+    def conditional(self, t, x, v):
+        # f(t, x | v) is side^-3 wherever the marginal is positive
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        positive = self.velocity_marginal(t, v) > 0.0
+        return np.where(positive, self.side**-3, np.zeros(x.shape[0]))
+
     def conditional_sup(self, horizon):
         return self.side**-3
 

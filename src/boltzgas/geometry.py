@@ -13,8 +13,12 @@ Post-collision velocities are ``z + alpha`` and ``v - alpha``; momentum
 and kinetic energy are conserved exactly and the relative speed
 ``|v - z|`` is invariant.
 
-All functions accept either single vectors of shape ``(3,)`` or batches
-of shape ``(n, 3)`` (angles broadcast accordingly) and operate in float64.
+Shape rule: every function takes 3-vectors on the last axis and computes
+in float64.  Leading axes of the vector inputs and the angle arrays
+broadcast as numpy broadcasts them: a single ``(3,)`` vector gives a
+``(3,)`` result, ``(n, 3)`` rows pair with ``(n,)`` angles, and a single
+``z`` meets a batch of ``v`` row by row.  Any other last axis, or a
+non-finite vector entry, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -45,31 +49,21 @@ class Frame(NamedTuple):
     j_axis: np.ndarray
 
 
-def _as_vectors(*arrays):
-    """Promote inputs to 2-d float64 arrays of shape (n, 3).
-
-    Returns the promoted arrays plus a flag telling whether every input
-    was a single vector, so results can be squeezed back.
-    """
-    promoted = []
-    scalar = True
-    for a in arrays:
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim == 1:
-            a = a[np.newaxis, :]
-        else:
-            scalar = False
-        if a.shape[-1] != 3:
-            raise ValueError(f"expected 3-vectors, got shape {a.shape}")
-        promoted.append(a)
-    n = max(a.shape[0] for a in promoted)
-    promoted = [np.broadcast_to(a, (n, 3)) for a in promoted]
-    return promoted, scalar
-
-
-def _check_finite(name, a):
-    if not np.all(np.isfinite(a)):
+def _vectors(name, a):
+    """``a`` as float64 3-vectors, rejecting another last axis or a non-finite entry."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"{name}: expected 3-vectors on the last axis, got {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _cross(a, b):
+    """``a x b`` on the last axis, by the float operations of ``np.cross``."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def orthonormal_frame(w):
@@ -82,7 +76,7 @@ def orthonormal_frame(w):
 
     Parameters
     ----------
-    w : array_like, shape (3,) or (n, 3)
+    w : array_like, shape (..., 3)
         Relative velocity vector(s).
 
     Returns
@@ -96,30 +90,19 @@ def orthonormal_frame(w):
     ValueError
         If ``w`` contains NaN or infinity.
     """
-    (w_,), scalar = _as_vectors(w)
-    _check_finite("w", w_)
-    n = w_.shape[0]
-
-    norm = np.linalg.norm(w_, axis=1)
-    # Axis of smallest |component|, ties resolved toward the smaller index.
-    k = np.argmin(np.abs(w_), axis=1)
-    e = np.zeros((n, 3))
-    e[np.arange(n), k] = 1.0
-
-    i_raw = np.cross(w_, e)
-    i_norm = np.linalg.norm(i_raw, axis=1)
+    w = _vectors("w", w)
+    norm = np.linalg.norm(w, axis=-1)
     nonzero = norm > 0.0
-    scale = np.zeros(n)
-    scale[nonzero] = norm[nonzero] / i_norm[nonzero]
-    i_axis = i_raw * scale[:, np.newaxis]
-
-    w_hat = np.zeros_like(w_)
-    w_hat[nonzero] = w_[nonzero] / norm[nonzero, np.newaxis]
-    j_axis = np.cross(w_hat, i_axis)
-
-    if scalar:
-        return Frame(i_axis[0], j_axis[0])
-    return Frame(i_axis, j_axis)
+    # Axis of smallest |component|, ties resolved toward the smaller index.
+    i_raw = _cross(w, np.eye(3)[np.argmin(np.abs(w), axis=-1)])
+    scale = np.divide(
+        norm, np.linalg.norm(i_raw, axis=-1), out=np.zeros_like(norm), where=nonzero
+    )
+    i_axis = i_raw * scale[..., np.newaxis]
+    w_hat = np.divide(
+        w, norm[..., np.newaxis], out=np.zeros_like(w), where=nonzero[..., np.newaxis]
+    )
+    return Frame(i_axis, _cross(w_hat, i_axis))
 
 
 def gamma(w, phi):
@@ -130,26 +113,19 @@ def gamma(w, phi):
 
     Parameters
     ----------
-    w : array_like, shape (3,) or (n, 3)
+    w : array_like, shape (..., 3)
         Relative velocity vector(s).
     phi : float or array_like
-        Azimuth in radians.
+        Azimuth in radians, broadcasting against the leading axes of ``w``.
 
     Returns
     -------
     numpy.ndarray
-        Same leading shape as the broadcast inputs.
+        Shape ``broadcast(w.shape[:-1], phi.shape) + (3,)``.
     """
-    (w_,), scalar_w = _as_vectors(w)
-    phi_ = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    frame = orthonormal_frame(w_)
-    out = (
-        frame.i_axis * np.cos(phi_)[:, np.newaxis]
-        + frame.j_axis * np.sin(phi_)[:, np.newaxis]
-    )
-    if scalar_w and np.isscalar(phi) or (scalar_w and phi_.shape == (1,)):
-        return out[0] if out.shape[0] == 1 else out
-    return out
+    frame = orthonormal_frame(w)
+    phi = np.asarray(phi, dtype=np.float64)[..., np.newaxis]
+    return frame.i_axis * np.cos(phi) + frame.j_axis * np.sin(phi)
 
 
 def deflection_alpha(z, v, theta, phi):
@@ -161,7 +137,7 @@ def deflection_alpha(z, v, theta, phi):
 
     Parameters
     ----------
-    z, v : array_like, shape (3,) or (n, 3)
+    z, v : array_like, shape (..., 3)
         Test and partner velocities.
     theta : float or array_like
         Polar angle in (0, pi].
@@ -173,22 +149,10 @@ def deflection_alpha(z, v, theta, phi):
     numpy.ndarray
         The transfer ``alpha``, shape matching the broadcast inputs.
     """
-    (z_, v_), scalar = _as_vectors(z, v)
-    theta_ = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi_ = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    _check_finite("z", z_)
-    _check_finite("v", v_)
-
-    w = v_ - z_
-    half = 0.5 * theta_
-    s2 = np.sin(half) ** 2
-    g = gamma(w, phi_)
-    if g.ndim == 1:
-        g = g[np.newaxis, :]
-    alpha = s2[:, np.newaxis] * w + (0.5 * np.sin(theta_))[:, np.newaxis] * g
-    if scalar and alpha.shape[0] == 1:
-        return alpha[0]
-    return alpha
+    z = _vectors("z", z)
+    w = _vectors("v", v) - z
+    theta = np.asarray(theta, dtype=np.float64)[..., np.newaxis]
+    return np.sin(0.5 * theta) ** 2 * w + 0.5 * np.sin(theta) * gamma(w, phi)
 
 
 def post_collision(z, v, theta, phi):
@@ -201,9 +165,9 @@ def post_collision(z, v, theta, phi):
         ``|z|^2 + |v|^2`` are conserved exactly up to roundoff.
     """
     alpha = deflection_alpha(z, v, theta, phi)
-    z_ = np.asarray(z, dtype=np.float64)
-    v_ = np.asarray(v, dtype=np.float64)
-    return z_ + alpha, v_ - alpha
+    z = np.asarray(z, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return z + alpha, v - alpha
 
 
 def _rotation_between(a_hat, b_hat, fallback_axis):
@@ -215,7 +179,7 @@ def _rotation_between(a_hat, b_hat, fallback_axis):
     """
     n = a_hat.shape[0]
     c = np.einsum("ij,ij->i", a_hat, b_hat)
-    axis = np.cross(a_hat, b_hat)
+    axis = _cross(a_hat, b_hat)
     s = np.linalg.norm(axis, axis=1)
 
     rot = np.empty((n, 3, 3))
@@ -266,36 +230,34 @@ def tanaka_rotation(z, v, z2, v2):
 
     Parameters
     ----------
-    z, v : array_like, shape (3,) or (n, 3)
+    z, v : array_like, shape (..., 3)
         First velocity pair.
-    z2, v2 : array_like, shape (3,) or (n, 3)
+    z2, v2 : array_like, shape (..., 3)
         Second velocity pair.
 
     Returns
     -------
     float or numpy.ndarray
-        Offset angle(s) in ``[0, 2*pi)``.
+        Offset angle(s) in ``[0, 2*pi)``: a float for single vectors,
+        else an array of the broadcast leading shape.
     """
-    (z_, v_, z2_, v2_), scalar = _as_vectors(z, v, z2, v2)
-    for name, a in (("z", z_), ("v", v_), ("z2", z2_), ("v2", v2_)):
-        _check_finite(name, a)
+    z = _vectors("z", z)
+    w = _vectors("v", v) - z
+    z2 = _vectors("z2", z2)
+    w, w2 = np.broadcast_arrays(w, _vectors("v2", v2) - z2)
+    n1 = np.linalg.norm(w, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(w2, axis=-1, keepdims=True)
+    ok = ((n1 > 0.0) & (n2 > 0.0))[..., 0]
 
-    w = v_ - z_
-    w2 = v2_ - z2_
-    n1 = np.linalg.norm(w, axis=1)
-    n2 = np.linalg.norm(w2, axis=1)
-    ok = (n1 > 0.0) & (n2 > 0.0)
-
-    phi0 = np.zeros(w.shape[0])
+    phi0 = np.zeros(ok.shape)
     if np.any(ok):
-        wa = w[ok] / n1[ok, np.newaxis]
-        wb = w2[ok] / n2[ok, np.newaxis]
-        frame_a = orthonormal_frame(w[ok])
-        frame_b = orthonormal_frame(w2[ok])
-        ia = frame_a.i_axis / n1[ok, np.newaxis]
-        ib = frame_b.i_axis / n2[ok, np.newaxis]
-        jb = frame_b.j_axis / n2[ok, np.newaxis]
-        rot = _rotation_between(wa, wb, ia)
+        w, w2, n1, n2 = w[ok], w2[ok], n1[ok], n2[ok]
+        frame_a = orthonormal_frame(w)
+        frame_b = orthonormal_frame(w2)
+        ia = frame_a.i_axis / n1
+        ib = frame_b.i_axis / n2
+        jb = frame_b.j_axis / n2
+        rot = _rotation_between(w / n1, w2 / n2, ia)
         ia_rot = np.einsum("nij,nj->ni", rot, ia)
         ang = np.arctan2(
             np.einsum("ij,ij->i", ia_rot, jb),
@@ -306,7 +268,4 @@ def tanaka_rotation(z, v, z2, v2):
         # which sits outside the half-open range contract
         wrapped[wrapped >= 2.0 * np.pi] = 0.0
         phi0[ok] = wrapped
-
-    if scalar:
-        return float(phi0[0])
-    return phi0
+    return phi0 if phi0.ndim else float(phi0)

@@ -302,10 +302,13 @@ def step_ensemble(ens, spec, dt, rng):
                     xi = rng.normal(size=3)
                     envelope = spec.c
                 else:
-                    xi = _sample_xi(rng, gap, out.h_v * xi_mean)
-                    reach = gap + out.h_v * float(np.linalg.norm(xi))
+                    # xi is drawn in proportion to the envelope
+                    # c (plain + h_v |xi|), whose mean over xi is the
+                    # pair weight plain + h_v E|xi| of the rate row
+                    plain = gap if gamma == 1.0 else 1.0 + gap
+                    xi = _sample_xi(rng, plain, out.h_v * xi_mean)
                     envelope = spec.c * (
-                        reach if gamma == 1.0 else 1.0 + reach
+                        plain + out.h_v * float(np.linalg.norm(xi))
                     )
                 v_cand = vel_frozen[j] + out.h_v * xi
             else:
@@ -347,20 +350,21 @@ def evolve_ensemble(ens, spec, horizon, dt, rng, snapshot_times=None):
     """Run to ``horizon`` in steps of ``dt``, collecting snapshots.
 
     Returns the final ensemble and a list of ``(time, ensemble)``
-    copies at the requested times (hit exactly: the stepper is called
-    with whatever remains until the next snapshot).
+    copies, one per distinct requested time in ``(ens.time, horizon]``
+    (hit exactly: the stepper is called with whatever remains until the
+    next snapshot).
     """
     if horizon < ens.time:
         raise ValueError("horizon lies before the ensemble time")
-    marks = sorted(t for t in (snapshot_times or []) if ens.time < t <= horizon)
+    wanted = {t for t in (snapshot_times or []) if ens.time < t <= horizon}
     snapshots = []
     current = ens
-    for mark in marks + [horizon]:
+    for mark in sorted(wanted | {horizon}):
         while current.time < mark - 1e-12:
             step = min(dt, mark - current.time)
             current = step_ensemble(current, spec, step, rng)
         current.time = mark
-        if mark != horizon or (snapshot_times and horizon in snapshot_times):
+        if mark in wanted:
             snapshots.append((mark, current.copy()))
     return current, snapshots
 

@@ -31,13 +31,21 @@ from .kernels import sigma
 __all__ = ["project_j", "alpha_j", "sigma_j", "energy_defect"]
 
 
-def _validate_level(j):
+def _checked(j, *vectors):
+    """Truncation level(s) and 3-vector inputs as float64, validated.
+
+    Levels must be finite and ``>= 1``; vectors must be finite with
+    3 entries on the last axis.
+    """
     j = np.asarray(j, dtype=np.float64)
-    if not np.all(np.isfinite(j)) or np.any(j < 1.0):
+    # one comparison pair rejects NaN, infinities and levels below one
+    if not ((j >= 1.0) & (j < np.inf)).all():
         raise ValueError(f"truncation level must be a finite real >= 1, got {j}")
-    if j.ndim == 0:
-        return float(j)
-    return j
+    vectors = [np.asarray(a, dtype=np.float64) for a in vectors]
+    for a in vectors:
+        if a.shape[-1:] != (3,) or not np.isfinite(a).all():
+            raise ValueError(f"expected finite 3-vectors, got shape {a.shape}")
+    return (j, *vectors)
 
 
 def project_j(z, j):
@@ -45,11 +53,11 @@ def project_j(z, j):
 
     Parameters
     ----------
-    z : array_like, shape (3,) or (n, 3)
+    z : array_like, shape (..., 3)
         Velocity vector(s).
     j : float or array_like
-        Truncation level(s), ``>= 1``; either one level for every row
-        or one level per row.
+        Truncation level(s), ``>= 1``, broadcasting against the leading
+        axes of ``z``: one level for every row or one level per row.
 
     Returns
     -------
@@ -57,14 +65,9 @@ def project_j(z, j):
         ``z / (1 + max(|z| - j, 0))``; bitwise equal to ``z`` on
         ``|z| <= j``, with norm at most ``min(j, |z|)`` otherwise.
     """
-    j = _validate_level(j)
-    z_ = np.asarray(z, dtype=np.float64)
-    single = z_.ndim == 1
-    z2 = np.atleast_2d(z_)
-    norm = np.linalg.norm(z2, axis=1)
-    d = np.maximum(norm - j, 0.0)
-    out = np.where(d[:, np.newaxis] > 0.0, z2 / (1.0 + d)[:, np.newaxis], z2)
-    return out[0] if single else out
+    j, z = _checked(j, z)
+    d = np.maximum(np.linalg.norm(z, axis=-1) - j, 0.0)[..., np.newaxis]
+    return np.where(d > 0.0, z / (1.0 + d), z)
 
 
 def alpha_j(z, v, theta, phi, j):
@@ -84,7 +87,7 @@ def sigma_j(spec, z, v, j):
     Parameters
     ----------
     spec : kernels.KernelSpec
-    z, v : array_like, shape (3,) or (n, 3)
+    z, v : array_like, shape (..., 3)
     j : float
         Truncation level, ``>= 1``.
 
@@ -92,9 +95,8 @@ def sigma_j(spec, z, v, j):
     -------
     float or numpy.ndarray
     """
-    p = project_j(z, j)
-    v_ = np.asarray(v, dtype=np.float64)
-    r = np.linalg.norm(p - v_, axis=-1)
+    j, z, v = _checked(j, z, v)
+    r = np.linalg.norm(project_j(z, j) - v, axis=-1)
     return sigma(spec, r)
 
 
@@ -108,10 +110,7 @@ def energy_defect(z, v, theta, phi, j):
     -------
     float or numpy.ndarray
     """
-    j = _validate_level(j)
-    z_ = np.asarray(z, dtype=np.float64)
-    a = alpha_j(z_, v, theta, phi, j)
-    norm = np.linalg.norm(z_, axis=-1)
-    d = np.maximum(norm - j, 0.0)
-    dot = np.sum(z_ * a, axis=-1)
-    return (2.0 * d / (1.0 + d)) * dot
+    j, z = _checked(j, z)
+    a = alpha_j(z, v, theta, phi, j)
+    d = np.maximum(np.linalg.norm(z, axis=-1) - j, 0.0)
+    return (2.0 * d / (1.0 + d)) * np.sum(z * a, axis=-1)

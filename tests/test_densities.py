@@ -253,6 +253,41 @@ class TestRadialMixture:
         assert abs(inv.mean() - 1.0 / self.model.mean_speed(0.0)) < 4 * se
 
 
+class CountingBKW(BKWModel):
+    """BKW family that counts its velocity-marginal evaluations."""
+
+    calls = 0
+
+    def velocity_marginal(self, t, v):
+        self.calls += 1
+        return super().velocity_marginal(t, v)
+
+
+class TestBoxConditional:
+    def test_one_marginal_per_call(self):
+        model = CountingBKW(side=1.5, c0=0.3)
+        v = stream(14, 0).standard_normal((5, 3))
+        for k in range(4):
+            model.conditional(0.1 * k, np.zeros((1, 3)), v)
+        assert model.calls == 4
+
+    def test_side_cubed_where_marginal_positive(self):
+        model = BKWModel(side=1.5, c0=0.3)
+        v = stream(15, 0).standard_normal((50, 3))
+        cond = model.conditional(0.2, np.zeros((1, 3)), v)
+        assert np.all(cond == 1.5**-3)
+
+    def test_zero_where_marginal_vanishes(self):
+        # at t = 0 with c0 = 2/5 the BKW marginal is |v|^2 times a
+        # Gaussian, so it vanishes at v = 0
+        model = BKWModel(c0=0.4)
+        v = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        assert model.velocity_marginal(0.0, v)[0] == 0.0
+        cond = model.conditional(0.0, np.zeros((2, 3)), v)
+        assert cond[0] == 0.0
+        assert cond[1] == 1.0
+
+
 class TestMomentOracle:
     def test_matches_closed_family_when_started_in_it(self):
         # a tagged particle initialised in the relaxing bath law must

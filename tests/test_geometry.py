@@ -214,3 +214,92 @@ class TestTanakaRotation:
         phi0 = tanaka_rotation(np.zeros_like(w), w, np.zeros_like(w2), w2)
         assert np.all(phi0 >= 0.0)
         assert np.all(phi0 < 2.0 * np.pi)
+
+
+class TestShapeRule:
+    """3-vectors on the last axis; leading axes and angles broadcast."""
+
+    def inputs(self, n=40):
+        rng = np.random.default_rng(51)
+        z = random_vectors(rng, n)
+        v = random_vectors(rng, n)
+        v[::7] = z[::7]  # zero relative velocity
+        v[3] = np.array([0.0, 0.0, 2.0])  # axis-aligned
+        z[3] = 0.0
+        z2 = z + 0.3 * rng.standard_normal((n, 3))
+        v2 = -v
+        theta = rng.uniform(0.0, np.pi, n)
+        phi = rng.uniform(0.0, 2.0 * np.pi, n)
+        return z, v, z2, v2, theta, phi
+
+    def calls(self):
+        return {
+            "frame": lambda z, v, z2, v2, th, ph: tuple(orthonormal_frame(v - z)),
+            "gamma": lambda z, v, z2, v2, th, ph: gamma(v - z, ph),
+            "alpha": lambda z, v, z2, v2, th, ph: deflection_alpha(z, v, th, ph),
+            "post": lambda z, v, z2, v2, th, ph: post_collision(z, v, th, ph),
+            "tanaka": lambda z, v, z2, v2, th, ph: tanaka_rotation(z, v, z2, v2),
+        }
+
+    def test_single_calls_equal_batch_rows(self):
+        args = self.inputs()
+        for name, call in self.calls().items():
+            batch = call(*args)
+            for i in range(len(args[0])):
+                single = call(*(a[i] for a in args))
+                if name in ("frame", "post"):
+                    for b, s in zip(batch, single):
+                        assert s.shape == (3,)
+                        assert np.array_equal(b[i], s), (name, i)
+                elif name == "tanaka":
+                    assert batch[i] == single, (name, i)
+                else:
+                    assert single.shape == (3,)
+                    assert np.array_equal(batch[i], single), (name, i)
+
+    def test_single_z_broadcasts_against_batch_v(self):
+        z, v, z2, v2, theta, phi = self.inputs()
+        tiled = np.tile(z[0], (len(v), 1))
+        assert np.array_equal(
+            deflection_alpha(z[0], v, theta, phi),
+            deflection_alpha(tiled, v, theta, phi),
+        )
+        assert np.array_equal(
+            tanaka_rotation(z[0], v, z2[0], v2),
+            tanaka_rotation(tiled, v, np.tile(z2[0], (len(v), 1)), v2),
+        )
+
+    def test_angle_grid_on_one_vector(self):
+        z, v, _, _, _, phi = self.inputs()
+        out = deflection_alpha(z[0], v[0], 0.9, phi)
+        assert out.shape == (len(phi), 3)
+        for k in range(len(phi)):
+            assert np.array_equal(out[k], deflection_alpha(z[0], v[0], 0.9, phi[k]))
+
+    def test_tanaka_single_vectors_return_float(self):
+        z, v, z2, v2, _, _ = self.inputs()
+        assert type(tanaka_rotation(z[1], v[1], z2[1], v2[1])) is float
+        assert type(tanaka_rotation(z[0], z[0], z2[0], v2[0])) is float
+        assert tanaka_rotation(z[:1], v[:1], z2[:1], v2[:1]).shape == (1,)
+
+    @pytest.mark.parametrize(
+        "bad", [np.ones(4), np.ones((5, 2)), np.ones(()), np.array([1.0, np.inf, 0.0])]
+    )
+    def test_every_function_rejects_bad_vectors(self, bad):
+        good = np.array([0.3, -0.2, 1.0])
+        with pytest.raises(ValueError):
+            orthonormal_frame(bad)
+        with pytest.raises(ValueError):
+            gamma(bad, 0.4)
+        for k in range(2):
+            args = [good, good]
+            args[k] = bad
+            with pytest.raises(ValueError):
+                deflection_alpha(*args, 1.0, 0.4)
+            with pytest.raises(ValueError):
+                post_collision(*args, 1.0, 0.4)
+        for k in range(4):
+            args = [good, -good, good, 2.0 * good]
+            args[k] = bad
+            with pytest.raises(ValueError):
+                tanaka_rotation(*args)

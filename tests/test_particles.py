@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import kernels, particles
-from boltzgas.densities import MollifiedEmpiricalModel
+from boltzgas.densities import MollifiedEmpiricalModel, maxwell_abs_moment
 from boltzgas.rng import stream
 
 
@@ -248,6 +248,39 @@ class TestStepMechanics:
         assert out.time > 0.0
 
 
+class TestOneSidedProposal:
+    def test_fractional_gamma_candidate_law(self):
+        # Two particles at rest at one position: a one-sided kick of
+        # particle i is alpha(0, h_v xi, theta, phi) at rate
+        # 2 pi c K(0) sigma(h_v |xi|) N(xi) Q(dtheta), so after one window
+        # of length dt, E|v_i'|^2 = dt 2 pi c K(0) beta h_v^(2+g) E|xi|^(2+g)
+        # with beta = int sin^2(theta/2) Q(dtheta).  Both particles see
+        # the same law independently, so their squared speeds pool.
+        spec = kernels.KernelSpec(gamma=0.5, c=1.0, angular=kernels.HARD_SPHERE)
+        h_x, h_v = 0.1, 0.1
+        ens = particles.ParticleEnsemble(
+            positions=np.full((2, 3), 0.5),
+            velocities=np.zeros((2, 3)),
+            h_x=h_x,
+            h_v=h_v,
+        )
+        k0 = (2.0 * math.pi * h_x**2) ** -1.5
+        peak = 2.0 * math.pi * spec.c * k0 * (1.0 + h_v * maxwell_abs_moment(1, 1))
+        dt = 0.1 / peak
+        beta = kernels.angular_weighted_mass(spec, "sin2_half")
+        expected = (
+            dt * 2.0 * math.pi * spec.c * k0 * beta
+            * h_v ** (2.0 + spec.gamma) * maxwell_abs_moment(1, 2.0 + spec.gamma)
+        )
+        rng = stream(41, 0)
+        sq = np.concatenate([
+            np.sum(particles.step_ensemble(ens, spec, dt, rng).velocities ** 2, axis=1)
+            for _ in range(20000)
+        ])
+        se = sq.std() / math.sqrt(sq.size)
+        assert abs(sq.mean() - expected) < 4.0 * se
+
+
 class TestEvolveEnsemble:
     def test_snapshots_at_marks(self):
         ens = small_ensemble(seed=8, n=30)
@@ -258,6 +291,14 @@ class TestEvolveEnsemble:
         assert_allclose(final.time, 0.5)
         for t, snap in snaps:
             assert_allclose(snap.time, t)
+
+    def test_horizon_snapshot_returned_once(self):
+        ens = small_ensemble(seed=8, n=30)
+        final, snaps = particles.evolve_ensemble(
+            ens, FLAT, 0.5, 0.1, stream(8, 1), snapshot_times=[0.2, 0.5]
+        )
+        assert [t for t, _ in snaps] == [0.2, 0.5]
+        assert np.array_equal(snaps[-1][1].velocities, final.velocities)
 
     def test_horizon_before_current_time_rejected(self):
         ens = small_ensemble()

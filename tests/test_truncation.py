@@ -135,3 +135,61 @@ class TestEnergyDefect:
         phi = rng.uniform(0.0, 2 * np.pi, n)
         vals = energy_defect(z, v, theta, phi, 10.0)
         assert_allclose(vals, 0.0, atol=1e-12)
+
+
+class TestShapeRule:
+    """3-vectors on the last axis; leading axes and levels broadcast."""
+
+    def inputs(self, n=40):
+        rng = np.random.default_rng(69)
+        z = 3.0 * rng.standard_normal((n, 3))
+        v = rng.standard_normal((n, 3))
+        theta = rng.uniform(0.0, np.pi, n)
+        phi = rng.uniform(0.0, 2 * np.pi, n)
+        return z, v, theta, phi
+
+    def calls(self):
+        spec = KernelSpec(gamma=0.5, c=1.3, angular=HARD_SPHERE)
+        return {
+            "project": lambda z, v, th, ph: project_j(z, 2.0),
+            "alpha": lambda z, v, th, ph: alpha_j(z, v, th, ph, 2.0),
+            "sigma": lambda z, v, th, ph: sigma_j(spec, z, v, 2.0),
+            "defect": lambda z, v, th, ph: energy_defect(z, v, th, ph, 2.0),
+        }
+
+    def test_single_calls_equal_batch_rows(self):
+        args = self.inputs()
+        for name, call in self.calls().items():
+            batch = call(*args)
+            for i in range(len(args[0])):
+                single = call(*(a[i] for a in args))
+                assert np.shape(single) == batch.shape[1:]
+                assert np.array_equal(batch[i], single), (name, i)
+
+    def test_single_z_broadcasts_against_batch_v(self):
+        z, v, theta, phi = self.inputs()
+        tiled = np.tile(z[0], (len(v), 1))
+        for name, call in self.calls().items():
+            if name != "project":  # the only call without a batch of v
+                assert np.array_equal(
+                    call(z[0], v, theta, phi), call(tiled, v, theta, phi)
+                ), name
+
+    def test_level_per_row(self):
+        z, _, _, _ = self.inputs()
+        levels = np.linspace(1.0, 6.0, len(z))
+        batch = project_j(z, levels)
+        for i in range(len(z)):
+            assert np.array_equal(batch[i], project_j(z[i], levels[i]))
+
+    @pytest.mark.parametrize(
+        "bad", [np.ones(4), np.ones((5, 2)), np.ones(()), np.array([1.0, np.nan, 0.0])]
+    )
+    def test_every_function_rejects_bad_vectors(self, bad):
+        good = np.array([0.3, -0.2, 1.0])
+        for name, call in self.calls().items():
+            if name != "project":
+                with pytest.raises(ValueError):
+                    call(good, bad, 1.0, 0.4)
+            with pytest.raises(ValueError):
+                call(bad, good, 1.0, 0.4)
