@@ -159,6 +159,8 @@ def _run_picard(cfg, seed, out, digest):
     )
     write_distance_csv(out.path("distances.csv"), report)
     passed = report.nonincreasing_from(start=2)
+    reached = report.passes_to_fixed_point()
+    hit = reached[reached > 0]
     doc = {
         "operation": "picard_contraction",
         "inputs_digest": digest,
@@ -170,6 +172,9 @@ def _run_picard(cfg, seed, out, digest):
             "mean_distances": report.mean().tolist(),
             "stderr_distances": report.stderr().tolist(),
             "n_realizations": report.n_realizations,
+            "fixed_point_share": float(np.mean(reached > 0)),
+            "fixed_point_passes_mean": float(hit.mean()) if hit.size else None,
+            "fixed_point_passes_max": int(hit.max()) if hit.size else None,
         },
     }
     write_report_json(out.path("reports.json"), [doc])

@@ -146,6 +146,8 @@ class DensityModel(ABC):
 
     #: Period of the spatial box, or None for models on all of R^3.
     box_side: float | None = None
+    #: True when the velocity marginal does not depend on ``t``.
+    stationary_speeds: bool = False
 
     @abstractmethod
     def evaluate(self, t, x, v):
@@ -198,9 +200,18 @@ class DensityModel(ABC):
         ``E|V| <= sqrt(E|V|^2)`` turns this into a horizon-wide bound on
         the mean speed, which rejection envelopes rely on.
         """
-        grid = np.linspace(0.0, horizon, 257)
-        values = np.array([self.speed_moment(t, 2) for t in grid])
-        return float(values.max()) * (1.0 + 1e-9)
+        return self._speed_moment_sup(2, horizon, 257) * (1.0 + 1e-9)
+
+    def _speed_moment_sup(self, p, horizon, n_grid):
+        """``max E|V|^p`` over ``n_grid`` times in ``[0, horizon]``.
+
+        A family with stationary speeds gives the same float at every
+        time, so it is read once.
+        """
+        if self.stationary_speeds:
+            return self.speed_moment(0.0, p)
+        grid = np.linspace(0.0, horizon, n_grid)
+        return float(max(self.speed_moment(t, p) for t in grid))
 
     @abstractmethod
     def moment_bound(self, p, horizon):
@@ -298,6 +309,8 @@ class GaussianProductModel(RadialMixtureModel):
     the engine an analytically known time-dependent driver.
     """
 
+    stationary_speeds = True
+
     def __init__(self, vel_var=1.0, pos_var=1.0, drift="static"):
         if vel_var <= 0.0 or pos_var <= 0.0:
             raise ValueError("variances must be positive")
@@ -322,6 +335,13 @@ class GaussianProductModel(RadialMixtureModel):
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         pos = _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
         return pos * self.velocity_marginal(t, v)
+
+    def conditional(self, t, x, v):
+        # f(t, x | v) is the position bump wherever the marginal is positive
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+        pos = _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
+        return np.where(self.velocity_marginal(t, v) > 0.0, pos, 0.0)
 
     def conditional_sup(self, horizon):
         return (2.0 * math.pi * self.pos_var) ** -1.5
@@ -387,9 +407,7 @@ class RadialBoxModel(RadialMixtureModel):
         return x, v
 
     def moment_bound(self, p, horizon):
-        grid = np.linspace(0.0, horizon, 2049)
-        values = np.array([self.speed_moment(t, p) for t in grid])
-        return self.side**-3 * float(values.max()) * (1.0 + 1e-9)
+        return self.side**-3 * self._speed_moment_sup(p, horizon, 2049) * (1.0 + 1e-9)
 
     def gradient_moment_bound(self, horizon):
         return 0.0
@@ -409,6 +427,8 @@ class BoxMaxwellianModel(RadialBoxModel):
     This law is stationary for the collision dynamics, so it doubles as
     the reference equilibrium in relaxation and entropy experiments.
     """
+
+    stationary_speeds = True
 
     def __init__(self, side=1.0, vel_var=1.0):
         super().__init__(side, vel_var)
@@ -479,6 +499,8 @@ class MollifiedEmpiricalModel(DensityModel):
     periodic heat kernel up to terms of order ``exp(-(side/2)^2 / (2 h_x^2))``
     and therefore requires ``h_x`` well below the box side.
     """
+
+    stationary_speeds = True
 
     def __init__(self, positions, velocities, h_x, h_v, side=None):
         positions = np.asarray(positions, dtype=np.float64)
@@ -601,10 +623,6 @@ class MollifiedEmpiricalModel(DensityModel):
 
     def mean_speed(self, t):
         return float(self._tilt_masses.mean())
-
-    def speed_sq_bound(self, horizon):
-        # The snapshot is frozen, so one evaluation covers every t.
-        return self.speed_moment(0.0, 2) * (1.0 + 1e-9)
 
     def speed_moment(self, t, p):
         vals = radial_gaussian_moment(self._speeds, self.h_v**2, 0, p)

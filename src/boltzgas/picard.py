@@ -11,7 +11,11 @@ acceptance test and the deflection on iterate ``k``'s state:
     kick    =    alpha_j(Z^k_{s-}, v, theta, psi),
 
 so every pass is an explicit functional of the previous one and the
-fixed point solves the jump equation driven by that same noise.
+fixed point solves the jump equation driven by that same noise.  Since
+no atom reads the current pass, decisions, frame turns and kicks are
+computed for all atoms at once; only the segment velocities (running
+sums of the kicks) and positions (running sums of the displacements)
+are sequential, and ``np.cumsum`` adds them in time order.
 
 The azimuthal angle ``psi`` is the frozen atom angle plus an
 accumulated frame rotation.  Between consecutive passes the scattering
@@ -33,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Envelope, initial_state, jump_intensity
+from .engine import Envelope, EnvelopeError, initial_state
 from .geometry import tanaka_rotation
 from .rng import stream
-from .truncation import alpha_j, project_j
+from .truncation import alpha_j, project_j, sigma_j
 
 __all__ = [
     "FrozenNoise",
@@ -182,61 +186,58 @@ def initial_iterate(noise):
 def picard_pass(model, kernel, noise, prev):
     """Apply the Picard map once: build the next iterate from ``prev``."""
     j = noise.level
-    n = noise.n_atoms
-    accepted = np.zeros(n, dtype=bool)
-    z_left = np.empty((n, 3))
-    x_at = np.empty((n, 3))
-    psi = np.empty(n)
+    s = noise.times
+    v = noise.velocities
+    base_now = prev.z_left
 
-    seg_times = [0.0]
-    seg_positions = [noise.x0.copy()]
-    seg_velocities = [noise.z0.copy()]
+    # an unchanged base keeps its frame bit for bit; tanaka_rotation
+    # would return roundoff instead of an exact zero turn
+    psi = prev.psi.copy()
+    moved = np.any(base_now != prev.base_z_left, axis=1)
+    old_base = project_j(prev.base_z_left[moved], j)
+    psi[moved] += tanaka_rotation(
+        old_base, v[moved], project_j(base_now[moved], j), v[moved]
+    )
 
-    x = noise.x0.copy()
-    z = noise.z0.copy()
-    t_last = 0.0
-    for a in range(n):
-        s = noise.times[a]
-        v = noise.velocities[a]
-        base_now = prev.z_left[a]
-        base_old = prev.base_z_left[a]
-        psi[a] = prev.psi[a]
-        # an unchanged base keeps its frame; tanaka_rotation would
-        # return roundoff instead of an exact zero turn
-        if not np.array_equal(base_now, base_old):
-            psi[a] += tanaka_rotation(
-                project_j(base_old, j), v, project_j(base_now, j), v
-            )
-
-        z_left[a] = z
-        x_here = x + (s - t_last) * z
-        x_at[a] = x_here
-
-        intensity = jump_intensity(
-            model, kernel, s, prev.x_at[a], base_now, v, j, noise.bounds[a]
+    # DensityModel takes one time per call, so f(s, x | v) is per atom
+    density = np.array([
+        model.conditional(t, x[np.newaxis], w[np.newaxis])[0]
+        for t, x, w in zip(s, prev.x_at, v)
+    ])
+    intensity = sigma_j(kernel, base_now, v, j) * density
+    over = intensity > noise.bounds * (1.0 + 1e-9)
+    if over.any():
+        a = np.argmax(over)
+        raise EnvelopeError(
+            f"jump intensity {intensity[a]} exceeds envelope {noise.bounds[a]} "
+            f"at t={s[a]}, level={j}"
         )
-        if noise.thresholds[a] <= intensity:
-            accepted[a] = True
-            kick = alpha_j(base_now, v, noise.thetas[a], psi[a], j)
-            z = z + kick
-            x = x_here
-            t_last = s
-            seg_times.append(s)
-            seg_positions.append(x.copy())
-            seg_velocities.append(z.copy())
 
-    vels = np.array(seg_velocities)
+    accepted = noise.thresholds <= intensity
+    kicks = alpha_j(
+        base_now[accepted], v[accepted], noise.thetas[accepted], psi[accepted], j
+    )
+    # the only sequential work: running sums in time order
+    seg_times = np.concatenate([[0.0], s[accepted]])
+    seg_velocities = np.cumsum(np.vstack([noise.z0, kicks]), axis=0)
+    steps = np.diff(seg_times)[:, np.newaxis] * seg_velocities[:-1]
+    seg_positions = np.cumsum(np.vstack([noise.x0, steps]), axis=0)
+
+    # atom a sits on the segment opened by the last jump before it
+    seg = np.cumsum(accepted) - accepted
+    z_left = seg_velocities[seg]
+    x_at = seg_positions[seg] + (s - seg_times[seg])[:, np.newaxis] * z_left
     return PicardPath(
-        seg_times=np.array(seg_times),
-        seg_positions=np.array(seg_positions),
-        seg_velocities=vels,
-        slopes=vels.copy(),
+        seg_times=seg_times,
+        seg_positions=seg_positions,
+        seg_velocities=seg_velocities,
+        slopes=seg_velocities.copy(),
         horizon=noise.horizon,
         accepted=accepted,
         z_left=z_left,
         x_at=x_at,
         psi=psi,
-        base_z_left=prev.z_left.copy(),
+        base_z_left=base_now.copy(),
     )
 
 
@@ -306,6 +307,16 @@ class ContractionReport:
             return np.array([]), np.array([])
         se = diffs.std(axis=0, ddof=1) / math.sqrt(self.n_realizations)
         return diffs.mean(axis=0), se
+
+    def passes_to_fixed_point(self):
+        """First pass whose iterate equals its predecessor, per realization.
+
+        Pass ``k + 1`` reaches the fixed point when ``distances[i, k]``
+        is exactly zero; 0 marks a realization that did not within
+        ``n_steps`` passes.
+        """
+        zero = self.distances == 0.0
+        return np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, 0)
 
     def nonincreasing_from(self, start=2, z=1.645):
         """True when no step ``n >= start`` shows a significant increase."""

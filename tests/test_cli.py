@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boltzgas import cli
+from boltzgas import cli, picard
 from boltzgas.config import ConfigError, load_config, validate_config
 from boltzgas.runio import read_csv_columns, read_event_log, write_snapshot_csv
 
@@ -379,6 +379,28 @@ class TestCliRun:
         assert np.all(cols["d_n"] >= 0.0)
         doc = json.load(open(out / "reports.json"))[0]
         assert doc["operation"] == "picard_contraction"
+
+    def test_picard_report_counts_passes_to_fixed_point(self, tmp_path):
+        mapping = {
+            "mode": "Picard",
+            "seed": 9,
+            "kernel": {"gamma": 1.0, "c": 1.0, "angular": "hard_sphere"},
+            "model": {"family": "box_maxwellian", "side": 1.0, "vel_var": 1.0},
+            "sim": {"horizon": 0.2, "level": 4.0, "escalate": False},
+            "picard": {"n_iterates": 6, "n_realizations": 30},
+        }
+        out = tmp_path / "out"
+        _run_cli("run", "--config", _write(tmp_path, mapping), "--out", str(out))
+        details = json.load(open(out / "reports.json"))[0]["details"]
+        cfg = validate_config(mapping)
+        reached = picard.contraction_profile(
+            cfg.model, cfg.kernel, 4.0, 0.2, 6, 30, 9
+        ).passes_to_fixed_point()
+        hit = reached[reached > 0]
+        assert 0 < hit.size < 30
+        assert details["fixed_point_share"] == hit.size / 30
+        assert details["fixed_point_passes_mean"] == hit.mean()
+        assert details["fixed_point_passes_max"] == hit.max()
 
     def test_particles_mode_writes_snapshots(self, tmp_path):
         mapping = {

@@ -288,6 +288,96 @@ class TestBoxConditional:
         assert cond[1] == 1.0
 
 
+class CountingGaussian(GaussianProductModel):
+    """Gaussian product that counts its velocity-marginal evaluations."""
+
+    calls = 0
+
+    def velocity_marginal(self, t, v):
+        self.calls += 1
+        return super().velocity_marginal(t, v)
+
+
+class TestGaussianConditional:
+    @pytest.mark.parametrize("drift", ["static", "free_transport"])
+    def test_one_marginal_per_call(self, drift):
+        model = CountingGaussian(vel_var=1.3, pos_var=0.7, drift=drift)
+        rng = stream(16, 0)
+        for k in range(4):
+            model.conditional(0.1 * k, rng.standard_normal((5, 3)),
+                              rng.standard_normal((5, 3)))
+        assert model.calls == 4
+
+    @pytest.mark.parametrize("drift", ["static", "free_transport"])
+    def test_joint_over_marginal(self, drift):
+        model = GaussianProductModel(vel_var=1.3, pos_var=0.7, drift=drift)
+        rng = stream(17, 0)
+        x = rng.standard_normal((200, 3))
+        v = 2.0 * rng.standard_normal((200, 3))
+        for t in (0.0, 0.3, 1.7):
+            expected = model.evaluate(t, x, v) / model.velocity_marginal(t, v)
+            assert_allclose(model.conditional(t, x, v), expected, rtol=1e-15)
+        # a single position row broadcasts against the velocity rows
+        one = model.conditional(0.3, x[:1], v)
+        assert one.shape == (200,)
+        assert_allclose(one, model.evaluate(0.3, x[:1], v)
+                        / model.velocity_marginal(0.3, v), rtol=1e-15)
+
+
+class CountingMoments:
+    """Mix-in counting ``speed_moment`` evaluations."""
+
+    moment_calls = 0
+
+    def speed_moment(self, t, p):
+        self.moment_calls += 1
+        return super().speed_moment(t, p)
+
+
+class CountingBoxMoments(CountingMoments, BoxMaxwellianModel):
+    pass
+
+
+class CountingGaussianMoments(CountingMoments, GaussianProductModel):
+    pass
+
+
+class CountingBKWMoments(CountingMoments, BKWModel):
+    pass
+
+
+def scanned_sup(model, p, horizon, n_grid):
+    grid = np.linspace(0.0, horizon, n_grid)
+    return float(np.array([model.speed_moment(t, p) for t in grid]).max())
+
+
+class TestStationaryMoments:
+    @pytest.mark.parametrize("make", [
+        lambda: CountingBoxMoments(side=1.5, vel_var=0.8),
+        lambda: CountingGaussianMoments(vel_var=0.8, drift="free_transport"),
+    ], ids=["box", "gaussian"])
+    def test_speed_sq_bound_reads_one_moment(self, make):
+        model = make()
+        bound = model.speed_sq_bound(3.0)
+        assert model.moment_calls == 1
+        assert bound == scanned_sup(model, 2, 3.0, 257) * (1.0 + 1e-9)
+
+    def test_box_moment_bound_reads_one_moment(self):
+        model = CountingBoxMoments(side=1.5, vel_var=0.8)
+        for p in (2, 3, 4.5):
+            model.moment_calls = 0
+            bound = model.moment_bound(p, 2.0)
+            assert model.moment_calls == 1
+            scan = scanned_sup(model, p, 2.0, 2049)
+            assert bound == 1.5**-3 * scan * (1.0 + 1e-9)
+
+    def test_bkw_keeps_its_scan(self):
+        # BKW's E|V|^2 is conserved but computed with t-dependent roundoff
+        model = CountingBKWMoments(side=1.0, vel_var=1.0, c0=0.3)
+        model.speed_sq_bound(1.0)
+        assert model.moment_calls == 257
+
+
 class TestMomentOracle:
     def test_matches_closed_family_when_started_in_it(self):
         # a tagged particle initialised in the relaxing bath law must

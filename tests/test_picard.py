@@ -1,23 +1,103 @@
 """Tests for the frozen-noise Picard iteration."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import boltzgas as bg
 from boltzgas import densities, kernels, picard
-from boltzgas.engine import EnvelopeError, majorant_rate
+from boltzgas.diagnostics import Energy, weak_residual
+from boltzgas.engine import EnvelopeError, jump_intensity, majorant_rate
+from boltzgas.geometry import tanaka_rotation
 from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, project_j
 
 
 SPEC = kernels.KernelSpec(gamma=1.0, c=1.0, angular=kernels.HARD_SPHERE)
 BOX = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
+PATH_FIELDS = (
+    "seg_times", "seg_positions", "seg_velocities", "slopes", "accepted",
+    "z_left", "x_at", "psi", "base_z_left",
+)
 
 
 def make_noise(seed=5, index=0, level=4.0, horizon=0.3):
     return picard.frozen_noise(BOX, SPEC, level, horizon, stream(seed, index))
+
+
+def reference_pass(model, kernel, noise, prev):
+    """One Picard pass by its definition: atom by atom in time order."""
+    j = noise.level
+    n = noise.n_atoms
+    accepted = np.zeros(n, dtype=bool)
+    z_left = np.empty((n, 3))
+    x_at = np.empty((n, 3))
+    psi = np.empty(n)
+    seg_times = [0.0]
+    seg_positions = [noise.x0.copy()]
+    seg_velocities = [noise.z0.copy()]
+    x = noise.x0.copy()
+    z = noise.z0.copy()
+    t_last = 0.0
+    for a in range(n):
+        s = noise.times[a]
+        v = noise.velocities[a]
+        base_now = prev.z_left[a]
+        base_old = prev.base_z_left[a]
+        psi[a] = prev.psi[a]
+        if not np.array_equal(base_now, base_old):
+            psi[a] += tanaka_rotation(
+                project_j(base_old, j), v, project_j(base_now, j), v
+            )
+        z_left[a] = z
+        x_here = x + (s - t_last) * z
+        x_at[a] = x_here
+        intensity = jump_intensity(
+            model, kernel, s, prev.x_at[a], base_now, v, j, noise.bounds[a]
+        )
+        if noise.thresholds[a] <= intensity:
+            accepted[a] = True
+            z = z + alpha_j(base_now, v, noise.thetas[a], psi[a], j)
+            x = x_here
+            t_last = s
+            seg_times.append(s)
+            seg_positions.append(x.copy())
+            seg_velocities.append(z.copy())
+    vels = np.array(seg_velocities)
+    return picard.PicardPath(
+        seg_times=np.array(seg_times),
+        seg_positions=np.array(seg_positions),
+        seg_velocities=vels,
+        slopes=vels.copy(),
+        horizon=noise.horizon,
+        accepted=accepted,
+        z_left=z_left,
+        x_at=x_at,
+        psi=psi,
+        base_z_left=prev.z_left.copy(),
+    )
+
+
+def assert_same_path(p, q):
+    for name in PATH_FIELDS:
+        a, b = getattr(p, name), getattr(q, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert p.horizon == q.horizon
+
+
+def assert_passes_match_reference(model, kernel, noise, n_passes=10):
+    """Batched and per-atom passes agree bit for bit on every iterate."""
+    prev = picard.initial_iterate(noise)
+    for _ in range(n_passes):
+        cur = picard.picard_pass(model, kernel, noise, prev)
+        assert_same_path(cur, reference_pass(model, kernel, noise, prev))
+        prev = cur
+    return prev
 
 
 class TestFrozenNoise:
@@ -140,6 +220,138 @@ class TestPicardPass:
                 noise.velocities[a][np.newaxis],
             )[0]
             assert curr.accepted[a] == (noise.thresholds[a] <= intensity)
+
+
+# model, horizon and start; the drifting bump is narrow and the path
+# starts at its centre so that its atoms are accepted often enough
+PINNED_MODELS = {
+    "box": (BOX, 0.5, None),
+    "bkw": (densities.BKWModel(side=1.5, vel_var=1.0), 1.0, None),
+    "gaussian": (
+        densities.GaussianProductModel(pos_var=0.1, drift="free_transport"),
+        1.0,
+        np.zeros(3),
+    ),
+}
+
+
+class TestBatchedPass:
+    """The batched pass is the per-atom definition, bit for bit."""
+
+    @pytest.mark.parametrize("level", [1.5, 4.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+    def test_matches_reference(self, name, gamma, level):
+        model, horizon, start = PINNED_MODELS[name]
+        kernel = kernels.KernelSpec(
+            gamma=gamma, c=0.7, angular=kernels.HARD_SPHERE
+        )
+        jumps = 0
+        for i in range(2):
+            noise = picard.frozen_noise(
+                model, kernel, level, horizon, stream(808, i), start, start
+            )
+            jumps += assert_passes_match_reference(model, kernel, noise).n_jumps
+        assert jumps > 0
+
+    def test_truncation_is_exercised(self):
+        # at level 1.5 some bases lie outside the ball, so project_j acts
+        noise = make_noise(seed=808, level=1.5, horizon=0.5)
+        last = assert_passes_match_reference(BOX, SPEC, noise)
+        assert np.any(np.linalg.norm(last.z_left, axis=1) > 1.5)
+
+    def test_zero_atoms(self):
+        noise = make_noise(seed=3)
+        empty = dataclasses.replace(
+            noise,
+            times=noise.times[:0],
+            velocities=noise.velocities[:0],
+            thetas=noise.thetas[:0],
+            phis=noise.phis[:0],
+            thresholds=noise.thresholds[:0],
+            bounds=noise.bounds[:0],
+        )
+        last = assert_passes_match_reference(BOX, SPEC, empty, n_passes=2)
+        assert last.n_jumps == 0 and last.z_left.shape == (0, 3)
+        assert np.array_equal(last.seg_velocities, noise.z0[np.newaxis])
+
+    def test_no_atom_accepted(self):
+        noise = make_noise(seed=4)
+        assert noise.n_atoms > 0
+        never = dataclasses.replace(
+            noise, thresholds=np.full(noise.n_atoms, np.inf)
+        )
+        last = assert_passes_match_reference(BOX, SPEC, never, n_passes=3)
+        assert last.n_jumps == 0
+        assert np.all(last.z_left == noise.z0)
+        drift = noise.x0 + noise.times[:, np.newaxis] * noise.z0
+        assert np.array_equal(last.x_at, drift)
+
+    def test_envelope_error_names_first_offending_atom(self):
+        class LateLiar(densities.BoxMaxwellianModel):
+            # the density doubles in the second half of the horizon
+            def conditional(self, t, x, v):
+                scale = 2.0 if t > 0.5 else 1.0
+                return scale * super().conditional(t, x, v)
+
+        liar = LateLiar(side=1.0, vel_var=1.0)
+        flat = kernels.KernelSpec(gamma=0.0, c=1.0, angular=kernels.HARD_SPHERE)
+        noise = picard.frozen_noise(liar, flat, 4.0, 1.0, stream(6, 0))
+        late = noise.times > 0.5
+        assert late.any() and not late[0]
+        prev = picard.initial_iterate(noise)
+        with pytest.raises(EnvelopeError) as expected:
+            reference_pass(liar, flat, noise, prev)
+        first = noise.times[np.argmax(late)]
+        assert f"t={first}," in str(expected.value)
+        with pytest.raises(EnvelopeError, match=re.escape(str(expected.value))):
+            picard.picard_pass(liar, flat, noise, prev)
+
+
+def two_sample_z(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    return (a.mean() - b.mean()) / se
+
+
+class TestFixedPointLaw:
+    def test_fixed_point_has_the_engine_law(self):
+        # the fixed point solves the jump equation driven by the frozen
+        # noise, so its law is the truncated process the engine simulates
+        horizon, level, n_real = 0.5, 4.0, 300
+        fixed = []
+        for i in range(n_real):
+            noise = picard.frozen_noise(
+                BOX, SPEC, level, horizon, stream(4040, i)
+            )
+            prev = picard.initial_iterate(noise)
+            for _ in range(2 * noise.n_atoms + 2):
+                cur = picard.picard_pass(BOX, SPEC, noise, prev)
+                if picard.supremum_distance(cur, prev) == 0.0:
+                    break
+                prev = cur
+            else:
+                pytest.fail(f"realization {i} missed its fixed point")
+            fixed.append(
+                bg.Trajectory(
+                    cur.seg_times,
+                    cur.seg_positions,
+                    cur.seg_velocities,
+                    np.full(len(cur.seg_times), level),
+                    horizon,
+                )
+            )
+        cfg = bg.SimConfig(horizon=horizon, level=level, escalate=False)
+        engine, _ = bg.simulate_ensemble(BOX, SPEC, cfg, seed=4041, n_paths=n_real)
+
+        def speed_sq(paths):
+            return [float(np.sum(p.velocity(horizon) ** 2)) for p in paths]
+
+        jumps = [p.n_jumps for p in fixed], [p.n_jumps for p in engine]
+        assert abs(two_sample_z(*jumps)) < 4.0
+        assert abs(two_sample_z(speed_sq(fixed), speed_sq(engine))) < 4.0
+        assert weak_residual(fixed, BOX, SPEC, Energy()).verdict
 
 
 class TestFrameAlignment:
@@ -265,6 +477,27 @@ class TestContraction:
             picard.contraction_profile(
                 BOX, SPEC, 4.0, 0.1, n_iterates=1, n_realizations=2, seed=0
             )
+
+    def test_passes_to_fixed_point(self):
+        rep = picard.ContractionReport(
+            distances=np.array(
+                [[3.0, 0.0, 0.0], [2.0, 1.0, 0.0], [1.0, 0.5, 1e-300]]
+            )
+        )
+        assert rep.passes_to_fixed_point().tolist() == [2, 3, 0]
+
+    def test_fixed_point_is_kept(self):
+        # the map is deterministic, so a reached fixed point stays put
+        rep = picard.contraction_profile(
+            BOX, SPEC, 4.0, 0.2, n_iterates=12, n_realizations=40, seed=17
+        )
+        reached = rep.passes_to_fixed_point()
+        assert np.any(reached > 0)
+        for row, k in zip(rep.distances, reached):
+            if k:
+                assert np.all(row[k - 1 :] == 0.0) and np.all(row[: k - 1] > 0.0)
+            else:
+                assert np.all(row > 0.0)
 
     def test_report_shapes(self):
         rep = picard.ContractionReport(
