@@ -58,6 +58,7 @@ __all__ = [
     "EnvelopeError",
     "Envelope",
     "majorant_rate",
+    "check_envelope",
     "jump_intensity",
     "initial_state",
     "simulate",
@@ -278,12 +279,27 @@ def jump_intensity(model, kernel, t, x, z, v, level, bound):
     intensity = sigma(kernel, rel_speed) * model.conditional(
         t, x[np.newaxis], v[np.newaxis]
     )[0]
-    if intensity > bound * (1.0 + 1e-9):
+    check_envelope(intensity, bound, t, level)
+    return intensity
+
+
+def check_envelope(intensity, bound, t, level):
+    """Raise :class:`EnvelopeError` where an intensity exceeds its bound.
+
+    Takes one candidate or rows of them, with ``bound`` and ``t`` per
+    row, and names the first offending row.  The relative slack of 1e-9
+    only absorbs roundoff.
+    """
+    over = intensity > bound * (1.0 + 1e-9)
+    if np.count_nonzero(over):
+        a = np.argmax(over)
+        intensity, bound, t = (
+            q[a] if np.ndim(q) else q for q in (intensity, bound, t)
+        )
         raise EnvelopeError(
             f"jump intensity {intensity} exceeds envelope {bound} "
             f"at t={t}, level={level}"
         )
-    return intensity
 
 
 def initial_state(model, rng, x0=None, z0=None):

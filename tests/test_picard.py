@@ -19,10 +19,6 @@ from boltzgas.truncation import alpha_j, project_j
 
 SPEC = kernels.KernelSpec(gamma=1.0, c=1.0, angular=kernels.HARD_SPHERE)
 BOX = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
-PATH_FIELDS = (
-    "seg_times", "seg_positions", "seg_velocities", "slopes", "accepted",
-    "z_left", "x_at", "psi", "base_z_left",
-)
 
 
 def make_noise(seed=5, index=0, level=4.0, horizon=0.3):
@@ -37,9 +33,9 @@ def reference_pass(model, kernel, noise, prev):
     z_left = np.empty((n, 3))
     x_at = np.empty((n, 3))
     psi = np.empty(n)
-    seg_times = [0.0]
-    seg_positions = [noise.x0.copy()]
-    seg_velocities = [noise.z0.copy()]
+    times = [0.0]
+    positions = [noise.x0.copy()]
+    velocities = [noise.z0.copy()]
     x = noise.x0.copy()
     z = noise.z0.copy()
     t_last = 0.0
@@ -59,20 +55,19 @@ def reference_pass(model, kernel, noise, prev):
         intensity = jump_intensity(
             model, kernel, s, prev.x_at[a], base_now, v, j, noise.bounds[a]
         )
-        if noise.thresholds[a] <= intensity:
+        if noise.thresholds[a] < intensity:
             accepted[a] = True
             z = z + alpha_j(base_now, v, noise.thetas[a], psi[a], j)
             x = x_here
             t_last = s
-            seg_times.append(s)
-            seg_positions.append(x.copy())
-            seg_velocities.append(z.copy())
-    vels = np.array(seg_velocities)
+            times.append(s)
+            positions.append(x.copy())
+            velocities.append(z.copy())
     return picard.PicardPath(
-        seg_times=np.array(seg_times),
-        seg_positions=np.array(seg_positions),
-        seg_velocities=vels,
-        slopes=vels.copy(),
+        times=np.array(times),
+        positions=np.array(positions),
+        velocities=np.array(velocities),
+        levels=np.full(len(times), j),
         horizon=noise.horizon,
         accepted=accepted,
         z_left=z_left,
@@ -83,11 +78,13 @@ def reference_pass(model, kernel, noise, prev):
 
 
 def assert_same_path(p, q):
-    for name in PATH_FIELDS:
-        a, b = getattr(p, name), getattr(q, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
-    assert p.horizon == q.horizon
+    for field in dataclasses.fields(picard.PicardPath):
+        a, b = getattr(p, field.name), getattr(q, field.name)
+        if field.name == "horizon":
+            assert a == b
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
 
 
 def assert_passes_match_reference(model, kernel, noise, n_passes=10):
@@ -136,21 +133,58 @@ class TestFrozenNoise:
             picard.frozen_noise(BOX, SPEC, 0.5, 1.0, stream(1, 0))
 
 
+def no_jump_noise(noise):
+    """The same atoms with thresholds no intensity can pass."""
+    return dataclasses.replace(noise, thresholds=np.full(noise.n_atoms, np.inf))
+
+
+class ZeroDensityBox(densities.BoxMaxwellianModel):
+    """Box envelope, but every conditional density is exactly zero."""
+
+    def conditional(self, t, x, v):
+        return np.zeros(len(np.atleast_2d(x)))
+
+
 class TestInitialIterate:
-    def test_constant_pair(self):
+    def test_free_flight(self):
         noise = make_noise()
         zero = picard.initial_iterate(noise)
+        assert isinstance(zero, bg.Trajectory)
         assert zero.n_jumps == 0
         for t in [0.0, 0.1, noise.horizon]:
-            assert_allclose(zero.position(t), noise.x0, rtol=0, atol=0)
+            assert_allclose(
+                zero.position(t), noise.x0 + t * noise.z0, rtol=0, atol=0
+            )
             assert_allclose(zero.velocity(t), noise.z0, rtol=0, atol=0)
 
-    def test_atom_views_are_constant(self):
+    def test_atom_views_follow_free_flight(self):
         noise = make_noise(seed=7)
         zero = picard.initial_iterate(noise)
         assert np.all(zero.z_left == noise.z0)
-        assert np.all(zero.x_at == noise.x0)
+        drift = noise.x0 + noise.times[:, np.newaxis] * noise.z0
+        assert np.array_equal(zero.x_at, drift)
         assert np.array_equal(zero.psi, noise.phis)
+        assert np.array_equal(zero.levels, [noise.level])
+
+    def test_is_the_pass_with_no_jump(self):
+        noise = no_jump_noise(make_noise(seed=9))
+        assert noise.n_atoms > 0
+        zero = picard.initial_iterate(noise)
+        assert_same_path(picard.picard_pass(BOX, SPEC, noise, zero), zero)
+
+    def test_no_jump_realization_is_fixed_at_pass_one(self):
+        noise = no_jump_noise(make_noise(seed=9))
+        paths = picard.picard_iterates(BOX, SPEC, noise, 3)
+        dist = [picard.supremum_distance(q, p) for p, q in zip(paths, paths[1:])]
+        rep = picard.ContractionReport(distances=np.array([dist]))
+        assert rep.passes_to_fixed_point().tolist() == [1]
+        # a density that is zero everywhere makes every realization one
+        rep = picard.contraction_profile(
+            ZeroDensityBox(side=1.0, vel_var=1.0), SPEC, 4.0, 0.3,
+            n_iterates=3, n_realizations=5, seed=12,
+        )
+        assert np.all(rep.distances == 0.0)
+        assert np.all(rep.passes_to_fixed_point() == 1)
 
 
 class TestPicardPass:
@@ -190,19 +224,19 @@ class TestPicardPass:
                 noise.level,
             )
             jump += 1
-            expected = curr.seg_velocities[jump - 1] + kick
-            assert np.array_equal(curr.seg_velocities[jump], expected)
+            expected = curr.velocities[jump - 1] + kick
+            assert np.array_equal(curr.velocities[jump], expected)
         assert jump == curr.n_jumps
 
     def test_position_integrates_own_velocity(self):
         noise = make_noise(seed=22)
         paths = picard.picard_iterates(BOX, SPEC, noise, 2)
         path = paths[2]
-        for k in range(1, len(path.seg_times)):
-            drift = path.seg_positions[k - 1] + (
-                path.seg_times[k] - path.seg_times[k - 1]
-            ) * path.seg_velocities[k - 1]
-            assert np.array_equal(path.seg_positions[k], drift)
+        for k in range(1, len(path.times)):
+            drift = path.positions[k - 1] + (
+                path.times[k] - path.times[k - 1]
+            ) * path.velocities[k - 1]
+            assert np.array_equal(path.positions[k], drift)
 
     def test_acceptance_thresholds_respected(self):
         noise = make_noise(seed=31)
@@ -219,7 +253,20 @@ class TestPicardPass:
                 prev.x_at[a][np.newaxis],
                 noise.velocities[a][np.newaxis],
             )[0]
-            assert curr.accepted[a] == (noise.thresholds[a] <= intensity)
+            assert curr.accepted[a] == (noise.thresholds[a] < intensity)
+
+    def test_zero_intensity_never_jumps(self):
+        # the thinning rule is strict, as in the engine: a threshold of
+        # exactly 0.0 (which rng.random() can return) must not accept an
+        # atom whose intensity is zero
+        model = ZeroDensityBox(side=1.0, vel_var=1.0)
+        noise = make_noise(seed=5)
+        assert noise.n_atoms > 0
+        zeros = dataclasses.replace(noise, thresholds=np.zeros(noise.n_atoms))
+        one = picard.picard_pass(
+            model, SPEC, zeros, picard.initial_iterate(zeros)
+        )
+        assert one.n_jumps == 0 and not one.accepted.any()
 
 
 # model, horizon and start; the drifting bump is narrow and the path
@@ -273,15 +320,14 @@ class TestBatchedPass:
         )
         last = assert_passes_match_reference(BOX, SPEC, empty, n_passes=2)
         assert last.n_jumps == 0 and last.z_left.shape == (0, 3)
-        assert np.array_equal(last.seg_velocities, noise.z0[np.newaxis])
+        assert np.array_equal(last.velocities, noise.z0[np.newaxis])
 
     def test_no_atom_accepted(self):
         noise = make_noise(seed=4)
         assert noise.n_atoms > 0
-        never = dataclasses.replace(
-            noise, thresholds=np.full(noise.n_atoms, np.inf)
+        last = assert_passes_match_reference(
+            BOX, SPEC, no_jump_noise(noise), n_passes=3
         )
-        last = assert_passes_match_reference(BOX, SPEC, never, n_passes=3)
         assert last.n_jumps == 0
         assert np.all(last.z_left == noise.z0)
         drift = noise.x0 + noise.times[:, np.newaxis] * noise.z0
@@ -333,15 +379,7 @@ class TestFixedPointLaw:
                 prev = cur
             else:
                 pytest.fail(f"realization {i} missed its fixed point")
-            fixed.append(
-                bg.Trajectory(
-                    cur.seg_times,
-                    cur.seg_positions,
-                    cur.seg_velocities,
-                    np.full(len(cur.seg_times), level),
-                    horizon,
-                )
-            )
+            fixed.append(cur)
         cfg = bg.SimConfig(horizon=horizon, level=level, escalate=False)
         engine, _ = bg.simulate_ensemble(BOX, SPEC, cfg, seed=4041, n_paths=n_real)
 
@@ -385,19 +423,11 @@ class TestFrameAlignment:
 class TestDistances:
     def test_hand_built_paths(self):
         # two straight lines from the same origin with different speeds
-        def straight(v, slope_on=True):
+        def straight(v):
             v = np.asarray(v, dtype=np.float64)
-            return picard.PicardPath(
-                seg_times=np.array([0.0]),
-                seg_positions=np.zeros((1, 3)),
-                seg_velocities=v[np.newaxis],
-                slopes=v[np.newaxis] if slope_on else np.zeros((1, 3)),
-                horizon=2.0,
-                accepted=np.zeros(0, dtype=bool),
-                z_left=np.zeros((0, 3)),
-                x_at=np.zeros((0, 3)),
-                psi=np.zeros(0),
-                base_z_left=np.zeros((0, 3)),
+            return bg.Trajectory(
+                np.array([0.0]), np.zeros((1, 3)), v[np.newaxis],
+                np.array([4.0]), 2.0,
             )
 
         p = straight([1.0, 0.0, 0.0])
