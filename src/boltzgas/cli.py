@@ -5,8 +5,10 @@ into one directory and finishes with a manifest naming each file.  Exit
 status separates three outcomes: 0 when everything ran and every
 verdict passed, 2 when the run completed but a physics verdict failed,
 1 for operational errors (bad config, unreadable files, internal
-failures).  On error, files written so far are removed so a directory
-never holds a partial run.
+failures).  The run is written into a temporary directory beside the
+output directory and renamed onto it only once complete, so after an
+error or an interrupt nothing of it remains; an output directory that
+already holds files is refused before any work.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pathlib
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .diagnostics import (
 from .rng import stream
 from .runio import (
     config_digest,
+    document,
     report_document,
     write_distance_csv,
     write_event_log,
@@ -73,32 +79,7 @@ def _build_parser():
     return parser
 
 
-class _OutputTracker:
-    """Records written files so an error can undo the partial run."""
-
-    def __init__(self, out_dir):
-        self.out_dir = out_dir
-        self.created_dir = not os.path.isdir(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        self.files = []
-
-    def path(self, name):
-        self.files.append(name)
-        return os.path.join(self.out_dir, name)
-
-    def cleanup(self):
-        for name in self.files:
-            full = os.path.join(self.out_dir, name)
-            if os.path.exists(full):
-                os.remove(full)
-        if self.created_dir:
-            try:
-                os.rmdir(self.out_dir)
-            except OSError:
-                pass
-
-
-def _run_simulate(cfg, seed, out):
+def _run_simulate(cfg, seed, out, digest):
     trajectories, logs = engine.simulate_ensemble(
         cfg.model,
         cfg.kernel,
@@ -110,15 +91,15 @@ def _run_simulate(cfg, seed, out):
     grid = cfg.output_times or None
     for i, traj in enumerate(trajectories):
         write_trajectory_csv(
-            out.path(f"trajectory_{i:04d}.csv"), traj, grid_times=grid
+            out / f"trajectory_{i:04d}.csv", traj, grid_times=grid
         )
     if cfg.params["log_events"]:
         for i, log in enumerate(logs):
-            write_event_log(out.path(f"events_{i:04d}.jsonl"), log)
+            write_event_log(out / f"events_{i:04d}.jsonl", log)
     return True
 
 
-def _run_particles(cfg, seed, out):
+def _run_particles(cfg, seed, out, digest):
     p = cfg.params
     ens = particles.maxwellian_ensemble(
         p["n"],
@@ -139,10 +120,10 @@ def _run_particles(cfg, seed, out):
     )
     for k, (when, snap) in enumerate(snapshots):
         write_snapshot_csv(
-            out.path(f"snapshot_{k:04d}.csv"), snap.positions, snap.velocities
+            out / f"snapshot_{k:04d}.csv", snap.positions, snap.velocities
         )
     write_snapshot_csv(
-        out.path("snapshot_final.csv"), final.positions, final.velocities
+        out / "snapshot_final.csv", final.positions, final.velocities
     )
     return True
 
@@ -157,18 +138,18 @@ def _run_picard(cfg, seed, out, digest):
         cfg.params["n_realizations"],
         seed,
     )
-    write_distance_csv(out.path("distances.csv"), report)
+    write_distance_csv(out / "distances.csv", report)
     passed = report.nonincreasing_from(start=2)
     reached = report.passes_to_fixed_point()
     hit = reached[reached > 0]
-    doc = {
-        "operation": "picard_contraction",
-        "inputs_digest": digest,
-        "value": float(report.mean()[-1]),
-        "stderr": float(report.stderr()[-1]),
-        "tolerance": 0.0,
-        "verdict": "PASS" if passed else "FAIL",
-        "details": {
+    doc = document(
+        "picard_contraction",
+        digest,
+        float(report.mean()[-1]),
+        float(report.stderr()[-1]),
+        0.0,
+        "PASS" if passed else "FAIL",
+        {
             "mean_distances": report.mean().tolist(),
             "stderr_distances": report.stderr().tolist(),
             "n_realizations": report.n_realizations,
@@ -176,8 +157,8 @@ def _run_picard(cfg, seed, out, digest):
             "fixed_point_passes_mean": float(hit.mean()) if hit.size else None,
             "fixed_point_passes_max": int(hit.max()) if hit.size else None,
         },
-    }
-    write_report_json(out.path("reports.json"), [doc])
+    )
+    write_report_json(out / "reports.json", [doc])
     return passed
 
 
@@ -201,7 +182,7 @@ def _run_check_invariants(cfg, seed, out, digest):
         )
         passed = passed and rep.verdict
         documents.append(report_document(rep, digest))
-    write_report_json(out.path("reports.json"), documents)
+    write_report_json(out / "reports.json", documents)
     return passed
 
 
@@ -241,18 +222,18 @@ def _run_entropy(cfg, seed, out, digest):
     if len(reports) > 1:
         monotone = worst <= 0.0
         documents.append(
-            {
-                "operation": "entropy_monotonicity",
-                "inputs_digest": digest,
-                "value": worst,
-                "stderr": 0.0,
-                "tolerance": 0.0,
-                "verdict": "PASS" if monotone else "FAIL",
-                "details": {"times": list(times)},
-            }
+            document(
+                "entropy_monotonicity",
+                digest,
+                worst,
+                0.0,
+                0.0,
+                "PASS" if monotone else "FAIL",
+                {"times": list(times)},
+            )
         )
         passed = passed and monotone
-    write_report_json(out.path("reports.json"), documents)
+    write_report_json(out / "reports.json", documents)
     return passed
 
 
@@ -262,7 +243,7 @@ def _run_exit_prob(cfg, seed, out, digest):
     )
     sups = np.array([path.max_speed() for path in trajectories])
     rep = exit_statistics(sups, cfg.params["thresholds"])
-    write_report_json(out.path("reports.json"), [report_document(rep, digest)])
+    write_report_json(out / "reports.json", [report_document(rep, digest)])
     return rep.monotone and rep.bounded
 
 
@@ -274,41 +255,40 @@ def _run_certify(cfg, seed, out, digest):
         n_time=cfg.params["n_time"],
         n_side=cfg.params["n_side"],
     )
-    documents = []
-    for check in report.checks:
-        documents.append(
+    documents = [
+        document(
+            f"hypothesis_{check.name}",
+            digest,
+            check.measured,
+            0.0,
+            check.declared_bound,
+            "PASS" if check.passed else "FAIL",
             {
-                "operation": f"hypothesis_{check.name}",
-                "inputs_digest": digest,
-                "value": check.measured,
-                "stderr": 0.0,
-                "tolerance": check.declared_bound,
-                "verdict": "PASS" if check.passed else "FAIL",
-                "details": {
-                    "description": check.description,
-                    "refinement_drift": check.refinement_drift,
-                    "model": report.model,
-                },
-            }
+                "description": check.description,
+                "refinement_drift": check.refinement_drift,
+                "model": report.model,
+            },
         )
-    write_report_json(out.path("reports.json"), documents)
+        for check in report.checks
+    ]
+    write_report_json(out / "reports.json", documents)
     return report.passed
 
 
+_RUNNERS = {
+    "Simulate": _run_simulate,
+    "Particles": _run_particles,
+    "Picard": _run_picard,
+    "CheckInvariants": _run_check_invariants,
+    "Entropy": _run_entropy,
+    "ExitProb": _run_exit_prob,
+    "Certify": _run_certify,
+}
+
+
 def _execute(cfg, seed, out, digest):
-    if cfg.mode == "Simulate":
-        return _run_simulate(cfg, seed, out)
-    if cfg.mode == "Particles":
-        return _run_particles(cfg, seed, out)
-    if cfg.mode == "Picard":
-        return _run_picard(cfg, seed, out, digest)
-    if cfg.mode == "CheckInvariants":
-        return _run_check_invariants(cfg, seed, out, digest)
-    if cfg.mode == "Entropy":
-        return _run_entropy(cfg, seed, out, digest)
-    if cfg.mode == "ExitProb":
-        return _run_exit_prob(cfg, seed, out, digest)
-    return _run_certify(cfg, seed, out, digest)
+    """Run the config's mode, writing into ``out``; True when it passed."""
+    return _RUNNERS[cfg.mode](cfg, seed, out, digest)
 
 
 def _command_run(args):
@@ -320,25 +300,39 @@ def _command_run(args):
     digest = config_digest(cfg.raw)
     seed = cfg.seed if args.seed is None else args.seed
     out_dir = args.out or cfg.out_dir or f"run_{digest[:12]}"
-    out = _OutputTracker(out_dir)
+    if os.path.exists(out_dir) and (
+        not os.path.isdir(out_dir) or os.listdir(out_dir)
+    ):
+        print(
+            f"boltzgas: {out_dir} exists and is not an empty directory",
+            file=sys.stderr,
+        )
+        return 1
+    # the run is written beside out_dir and renamed onto it when complete,
+    # so out_dir never holds a partial run
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    work = tempfile.mkdtemp(prefix=".boltzgas-", dir=parent)
     try:
-        passed = _execute(cfg, seed, out, digest)
+        passed = _execute(cfg, seed, pathlib.Path(work), digest)
+        outputs = os.listdir(work)
+        write_manifest(
+            os.path.join(work, "manifest.json"), digest, seed, outputs, mode=cfg.mode
+        )
+        # mkdtemp's directory is private; give it the mode makedirs would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(work, 0o777 & ~umask)
+        os.replace(work, out_dir)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
-        out.cleanup()
+        shutil.rmtree(work, ignore_errors=True)
         print(f"boltzgas: run failed: {exc}", file=sys.stderr)
         return 1
     except BaseException:
-        # An interrupt or exit must not leave a partial run behind.
-        out.cleanup()
+        # an interrupt or exit must not leave a partial run behind either
+        shutil.rmtree(work, ignore_errors=True)
         raise
-    write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        digest,
-        seed,
-        out.files,
-        mode=cfg.mode,
-    )
-    print(f"outputs in {out_dir} ({len(out.files)} files + manifest)")
+    print(f"outputs in {out_dir} ({len(outputs)} files + manifest)")
     if not passed:
         print("verdict: FAIL", file=sys.stderr)
         return 2

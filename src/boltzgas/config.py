@@ -2,17 +2,33 @@
 
 A config names a mode, a collision kernel, usually a background model
 and simulation window, and one section of mode-specific parameters.
-Validation is strict: unknown keys are rejected with their path, every
-numeric field is range-checked, and nothing is computed until the whole
-tree is known to be well formed.  Configs are meant to be kept as the
-record of an experiment, so flags can override only the seed and the
-output directory.
+Configs are meant to be kept as the record of an experiment, so flags
+can override only the seed and the output directory.
+
+Every section but ``kernel`` (which :class:`KernelSpec` checks itself)
+is a table mapping each key to a field ``(kind, default, check)``:
+
+* ``kind``: ``number``, ``integer``, ``boolean``, ``string``,
+  ``mapping``, ``choice``, or a list, ``numbers`` or ``nonempty numbers``;
+* ``default``: the value of a missing key, ``_REQUIRED``, or
+  ``_OPTIONAL`` for a section that may be left out; a ``None`` default
+  also accepts an explicit ``null``;
+* ``check``: ``_POSITIVE``, a minimum, the allowed values of a
+  ``choice``, or ``None``; a list applies it to every entry.
+
+:func:`_fields` checks a section against its table: unknown keys are
+rejected with their path, every value is type- and range-checked, and
+nothing is computed until the whole tree is known to be well formed.
+A mode's row in ``_MODES`` gives its section name, the sections it
+requires and its fields; a model family's row in ``_FAMILIES`` gives
+its constructor and its fields.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .densities import (
@@ -24,37 +40,132 @@ from .densities import (
 from .engine import SimConfig
 from .kernels import KernelSpec
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "MODES",
-    "load_config",
-    "validate_config",
-]
+__all__ = ["ConfigError", "RunConfig", "MODES", "load_config", "validate_config"]
 
-MODES = (
-    "Simulate",
-    "Particles",
-    "Picard",
-    "CheckInvariants",
-    "Entropy",
-    "ExitProb",
-    "Certify",
-)
+_REQUIRED = object()
+_OPTIONAL = object()
+_POSITIVE = "positive"
 
-_SECTION_NAMES = {
-    "Simulate": "simulate",
-    "Particles": "particles",
-    "Picard": "picard",
-    "CheckInvariants": "check_invariants",
-    "Entropy": "entropy",
-    "ExitProb": "exit_prob",
-    "Certify": "certify",
+_Mode = namedtuple("_Mode", "section requires fields")
+_MODEL_SIM = ("model", "sim")
+
+_MODES = {
+    "Simulate": _Mode(
+        "simulate",
+        _MODEL_SIM,
+        {"n_paths": ("integer", 1, 1), "log_events": ("boolean", True, None)},
+    ),
+    "Particles": _Mode(
+        "particles",
+        ("sim",),
+        {
+            "n": ("integer", _REQUIRED, 2),
+            "h_x": ("number", None, _POSITIVE),
+            "h_v": ("number", None, _POSITIVE),
+            "dt": ("number", _REQUIRED, _POSITIVE),
+            "mode": ("choice", "one_sided", ("one_sided", "symmetric_pair")),
+            "box_side": ("number", 1.0, _POSITIVE),
+            "vel_var": ("number", 1.0, _POSITIVE),
+        },
+    ),
+    "Picard": _Mode(
+        "picard",
+        _MODEL_SIM,
+        {"n_iterates": ("integer", 6, 2), "n_realizations": ("integer", 100, 2)},
+    ),
+    # a fixed-time quadrature: the one mode that needs no window
+    "CheckInvariants": _Mode(
+        "check_invariants",
+        ("model",),
+        {"t": ("number", 0.0, 0.0), "tolerance": ("number", 1e-6, _POSITIVE)},
+    ),
+    "Entropy": _Mode(
+        "entropy",
+        _MODEL_SIM,
+        {
+            "n_paths": ("integer", _REQUIRED, 10),
+            "reference_variance": ("number", None, _POSITIVE),
+        },
+    ),
+    "ExitProb": _Mode(
+        "exit_prob",
+        _MODEL_SIM,
+        {
+            "n_paths": ("integer", _REQUIRED, 2),
+            "thresholds": ("nonempty numbers", [2.0, 4.0, 8.0, 16.0], _POSITIVE),
+        },
+    ),
+    "Certify": _Mode(
+        "certify",
+        _MODEL_SIM,
+        {"n_time": ("integer", 5, 2), "n_side": ("integer", 4, 1)},
+    ),
 }
 
-_MODEL_FAMILIES = ("box_maxwellian", "gaussian_product", "bkw", "empirical")
+MODES = tuple(_MODES)
 
-_MISSING = object()
+_TOP = {
+    "mode": ("choice", _REQUIRED, MODES),
+    "seed": ("integer", 0, 0),
+    "out_dir": ("string", None, None),
+    "kernel": ("mapping", _REQUIRED, None),
+    "model": ("mapping", _OPTIONAL, None),
+    "sim": ("mapping", _OPTIONAL, None),
+    "output_times": ("numbers", [], 0.0),
+}
+
+_SIM = {
+    "horizon": ("number", _REQUIRED, _POSITIVE),
+    "level": ("number", 4.0, None),
+    "level_step": ("number", 4.0, None),
+    "escalate": ("boolean", True, None),
+    "collisions": ("boolean", True, None),
+    "max_events": ("integer", 1_000_000, 1),
+}
+
+_SIDE = ("number", 1.0, _POSITIVE)
+_VEL_VAR = ("number", 1.0, _POSITIVE)
+_WIDTH = ("number", _REQUIRED, _POSITIVE)
+
+_FAMILIES = {
+    "box_maxwellian": (BoxMaxwellianModel, {"side": _SIDE, "vel_var": _VEL_VAR}),
+    "gaussian_product": (
+        GaussianProductModel,
+        {
+            "vel_var": _VEL_VAR,
+            "pos_var": ("number", 1.0, _POSITIVE),
+            "drift": ("choice", "static", ("static", "free_transport")),
+        },
+    ),
+    "bkw": (
+        BKWModel,
+        {
+            "side": _SIDE,
+            "vel_var": _VEL_VAR,
+            "c0": ("number", 0.4, _POSITIVE),
+            "rate": ("number", 1.0, _POSITIVE),
+        },
+    ),
+    "empirical": (
+        lambda snapshot, **kw: MollifiedEmpiricalModel.from_csv(snapshot, **kw),
+        {
+            "snapshot": ("string", _REQUIRED, None),
+            "h_x": _WIDTH,
+            "h_v": _WIDTH,
+            "side": ("number", None, None),
+        },
+    ),
+}
+
+_FAMILY = ("choice", _REQUIRED, tuple(_FAMILIES))
+
+_TYPES = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "boolean": (bool, "true or false"),
+    "string": (str, "a string"),
+    "mapping": (dict, "a mapping"),
+}
 
 
 class ConfigError(ValueError):
@@ -76,280 +187,70 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = sorted(set(mapping) - set(allowed))
+def _value(value, kind, check, where):
+    """Type-check one value, apply its range rule and return it parsed."""
+    if kind == "choice":
+        if value not in check:
+            raise ConfigError(
+                f"{where}: expected one of {list(check)}, got {value!r}"
+            )
+        return value
+    if kind.endswith("numbers"):
+        if not isinstance(value, list) or kind.startswith("nonempty") and not value:
+            expected = kind.replace("numbers", "list of numbers")
+            raise ConfigError(f"{where}: expected a {expected}, got {value!r}")
+        return [
+            _value(entry, "number", check, f"{where}[{k}]")
+            for k, entry in enumerate(value)
+        ]
+    types, expected = _TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and kind != "boolean":
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    if kind == "number":
+        value = float(value)
+    if check is _POSITIVE and value <= 0.0:
+        raise ConfigError(f"{where}: must be positive, got {value}")
+    if isinstance(check, (int, float)) and value < check:
+        raise ConfigError(f"{where}: must be >= {check}, got {value}")
+    return value
+
+
+def _field(mapping, key, spec, where):
+    """Fetch one key of a section, fill in its default and check it."""
+    kind, default, check = spec
+    if key not in mapping and default is _REQUIRED:
+        raise ConfigError(f"{where}: missing required key '{key}'")
+    value = mapping.get(key, default)
+    if value is _OPTIONAL or value is None and default is None:
+        return None
+    return _value(value, kind, check, f"{where}.{key}")
+
+
+def _fields(mapping, fields, where):
+    """Validate a section against its field table; return the parsed values."""
+    unknown = sorted(set(mapping) - set(fields))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    return {key: _field(mapping, key, spec, where) for key, spec in fields.items()}
 
 
-def _fetch(mapping, key, where, default=_MISSING):
-    if key in mapping:
-        return mapping[key]
-    if default is _MISSING:
-        raise ConfigError(f"{where}: missing required key '{key}'")
-    return default
-
-
-def _number(mapping, key, where, default=_MISSING, minimum=None, positive=False):
-    value = _fetch(mapping, key, where, default)
-    if value is default and default is not _MISSING:
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if positive and value <= 0.0:
-        raise ConfigError(f"{where}.{key}: must be positive, got {value}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _integer(mapping, key, where, default=_MISSING, minimum=None):
-    value = _fetch(mapping, key, where, default)
-    if value is default and default is not _MISSING:
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _boolean(mapping, key, where, default=_MISSING):
-    value = _fetch(mapping, key, where, default)
-    if value is default and default is not _MISSING:
-        return value
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
-    return bool(value)
-
-
-def _section(mapping, key, where, default=_MISSING):
-    value = _fetch(mapping, key, where, default)
-    if value is default and default is not _MISSING:
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key}: expected a mapping, got {value!r}")
-    return value
-
-
-def _build_kernel(section):
+def _build(where, make, *args, **kwargs):
+    """Call a constructor, reporting its ValueError or OSError at ``where``."""
     try:
-        return KernelSpec.from_config(section)
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_model(section, base_dir):
-    family = _fetch(section, "family", "model")
-    if family not in _MODEL_FAMILIES:
-        raise ConfigError(
-            f"model.family: expected one of {list(_MODEL_FAMILIES)}, "
-            f"got {family!r}"
-        )
-    try:
-        if family == "box_maxwellian":
-            _reject_unknown(section, {"family", "side", "vel_var"}, "model")
-            return BoxMaxwellianModel(
-                side=_number(section, "side", "model", default=1.0, positive=True),
-                vel_var=_number(
-                    section, "vel_var", "model", default=1.0, positive=True
-                ),
-            )
-        if family == "gaussian_product":
-            _reject_unknown(
-                section, {"family", "vel_var", "pos_var", "drift"}, "model"
-            )
-            return GaussianProductModel(
-                vel_var=_number(
-                    section, "vel_var", "model", default=1.0, positive=True
-                ),
-                pos_var=_number(
-                    section, "pos_var", "model", default=1.0, positive=True
-                ),
-                drift=_fetch(section, "drift", "model", default="static"),
-            )
-        if family == "bkw":
-            _reject_unknown(
-                section, {"family", "side", "vel_var", "c0", "rate"}, "model"
-            )
-            return BKWModel(
-                side=_number(section, "side", "model", default=1.0, positive=True),
-                vel_var=_number(
-                    section, "vel_var", "model", default=1.0, positive=True
-                ),
-                c0=_number(section, "c0", "model", default=0.4, positive=True),
-                rate=_number(section, "rate", "model", default=1.0, positive=True),
-            )
-        _reject_unknown(
-            section, {"family", "snapshot", "h_x", "h_v", "side"}, "model"
-        )
-        snapshot = _fetch(section, "snapshot", "model")
-        if not isinstance(snapshot, str):
-            raise ConfigError("model.snapshot: expected a file path string")
-        path = snapshot
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        side = _number(section, "side", "model", default=None)
-        return MollifiedEmpiricalModel.from_csv(
-            path,
-            h_x=_number(section, "h_x", "model", positive=True),
-            h_v=_number(section, "h_v", "model", positive=True),
-            side=side,
-        )
-    except ConfigError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-def _build_sim(section):
-    allowed = {
-        "horizon",
-        "level",
-        "level_step",
-        "escalate",
-        "collisions",
-        "max_events",
-    }
-    _reject_unknown(section, allowed, "sim")
-    try:
-        return SimConfig(
-            horizon=_number(section, "horizon", "sim", positive=True),
-            level=_number(section, "level", "sim", default=4.0),
-            level_step=_number(section, "level_step", "sim", default=4.0),
-            escalate=_boolean(section, "escalate", "sim", default=True),
-            collisions=_boolean(section, "collisions", "sim", default=True),
-            max_events=_integer(
-                section, "max_events", "sim", default=1_000_000, minimum=1
-            ),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-
-
-def _output_times(mapping):
-    value = _fetch(mapping, "output_times", "config", default=[])
-    if not isinstance(value, list):
-        raise ConfigError("config.output_times: expected a list of times")
-    times = []
-    for k, entry in enumerate(value):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(
-                f"config.output_times[{k}]: expected a number, got {entry!r}"
-            )
-        if entry < 0.0:
-            raise ConfigError(
-                f"config.output_times[{k}]: must be nonnegative, got {entry}"
-            )
-        times.append(float(entry))
-    if times != sorted(times):
-        raise ConfigError("config.output_times: must be nondecreasing")
-    return times
-
-
-def _mode_params(mode, section, where):
-    if mode == "Simulate":
-        _reject_unknown(section, {"n_paths", "log_events"}, where)
-        return {
-            "n_paths": _integer(section, "n_paths", where, default=1, minimum=1),
-            "log_events": _boolean(section, "log_events", where, default=True),
-        }
-    if mode == "Particles":
-        allowed = {"n", "h_x", "h_v", "dt", "mode", "box_side", "vel_var"}
-        _reject_unknown(section, allowed, where)
-        scheme = _fetch(section, "mode", where, default="one_sided")
-        if scheme not in ("one_sided", "symmetric_pair"):
-            raise ConfigError(
-                f"{where}.mode: expected 'one_sided' or 'symmetric_pair', "
-                f"got {scheme!r}"
-            )
-        return {
-            "n": _integer(section, "n", where, minimum=2),
-            "h_x": _number(section, "h_x", where, default=None, positive=True),
-            "h_v": _number(section, "h_v", where, default=None, positive=True),
-            "dt": _number(section, "dt", where, positive=True),
-            "mode": scheme,
-            "box_side": _number(
-                section, "box_side", where, default=1.0, positive=True
-            ),
-            "vel_var": _number(
-                section, "vel_var", where, default=1.0, positive=True
-            ),
-        }
-    if mode == "Picard":
-        _reject_unknown(section, {"n_iterates", "n_realizations"}, where)
-        return {
-            "n_iterates": _integer(
-                section, "n_iterates", where, default=6, minimum=2
-            ),
-            "n_realizations": _integer(
-                section, "n_realizations", where, default=100, minimum=2
-            ),
-        }
-    if mode == "CheckInvariants":
-        _reject_unknown(section, {"t", "tolerance"}, where)
-        return {
-            "t": _number(section, "t", where, default=0.0, minimum=0.0),
-            "tolerance": _number(
-                section, "tolerance", where, default=1e-6, positive=True
-            ),
-        }
-    if mode == "Entropy":
-        _reject_unknown(section, {"n_paths", "reference_variance"}, where)
-        return {
-            "n_paths": _integer(section, "n_paths", where, minimum=10),
-            "reference_variance": _number(
-                section, "reference_variance", where, default=None, positive=True
-            ),
-        }
-    if mode == "ExitProb":
-        _reject_unknown(section, {"n_paths", "thresholds"}, where)
-        raw = _fetch(section, "thresholds", where, default=[2.0, 4.0, 8.0, 16.0])
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{where}.thresholds: expected a nonempty list")
-        thresholds = []
-        for k, entry in enumerate(raw):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ConfigError(
-                    f"{where}.thresholds[{k}]: expected a number, got {entry!r}"
-                )
-            if entry <= 0.0:
-                raise ConfigError(
-                    f"{where}.thresholds[{k}]: must be positive, got {entry}"
-                )
-            thresholds.append(float(entry))
-        return {
-            "n_paths": _integer(section, "n_paths", where, minimum=2),
-            "thresholds": thresholds,
-        }
-    _reject_unknown(section, {"n_time", "n_side"}, where)
-    return {
-        "n_time": _integer(section, "n_time", where, default=5, minimum=2),
-        "n_side": _integer(section, "n_side", where, default=4, minimum=1),
-    }
-
-
-# Modes that do not run the jump engine still need a horizon when they
-# certify over a window; CheckInvariants alone is a fixed-time quadrature.
-_SIM_REQUIRED = {
-    "Simulate",
-    "Particles",
-    "Picard",
-    "Entropy",
-    "ExitProb",
-    "Certify",
-}
-_MODEL_REQUIRED = {
-    "Simulate",
-    "Picard",
-    "CheckInvariants",
-    "Entropy",
-    "ExitProb",
-    "Certify",
-}
+    family = _field(section, "family", _FAMILY, "model")
+    make, fields = _FAMILIES[family]
+    params = _fields(section, {"family": _FAMILY, **fields}, "model")
+    del params["family"]
+    if "snapshot" in params:
+        # a snapshot path is read relative to the config file
+        params["snapshot"] = os.path.join(base_dir, params["snapshot"])
+    return _build("model", make, **params)
 
 
 def validate_config(mapping, base_dir="."):
@@ -360,57 +261,35 @@ def validate_config(mapping, base_dir="."):
     """
     if not isinstance(mapping, dict):
         raise ConfigError("config: top level must be a mapping")
-    mode = _fetch(mapping, "mode", "config")
-    if mode not in MODES:
-        raise ConfigError(
-            f"config.mode: expected one of {list(MODES)}, got {mode!r}"
-        )
-    section_name = _SECTION_NAMES[mode]
-    allowed = {
-        "mode",
-        "seed",
-        "out_dir",
-        "kernel",
-        "model",
-        "sim",
-        "output_times",
-        section_name,
-    }
-    _reject_unknown(mapping, allowed, "config")
-
-    seed = _integer(mapping, "seed", "config", default=0, minimum=0)
-    out_dir = _fetch(mapping, "out_dir", "config", default=None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("config.out_dir: expected a directory path string")
-
-    kernel = _build_kernel(_section(mapping, "kernel", "config"))
-
-    model = None
-    if "model" in mapping:
-        model = _build_model(_section(mapping, "model", "config"), base_dir)
-    elif mode in _MODEL_REQUIRED:
-        raise ConfigError(f"config: mode {mode} requires a model section")
-
+    name = _field(mapping, "mode", _TOP["mode"], "config")
+    mode = _MODES[name]
+    top = _fields(mapping, {**_TOP, mode.section: ("mapping", {}, None)}, "config")
+    for key in mode.requires:
+        if top[key] is None:
+            raise ConfigError(f"config: mode {name} requires a {key} section")
+    kernel = _build("kernel", KernelSpec.from_config, top["kernel"])
+    model = None if top["model"] is None else _build_model(top["model"], base_dir)
     sim = None
-    if "sim" in mapping:
-        sim = _build_sim(_section(mapping, "sim", "config"))
-    elif mode in _SIM_REQUIRED:
-        raise ConfigError(f"config: mode {mode} requires a sim section")
-
-    params = _mode_params(
-        mode,
-        _section(mapping, section_name, "config", default={}),
-        section_name,
-    )
+    if top["sim"] is not None:
+        sim = _build("sim", SimConfig, **_fields(top["sim"], _SIM, "sim"))
+    times = top["output_times"]
+    if times != sorted(times):
+        raise ConfigError("config.output_times: must be nondecreasing")
+    for k, t in enumerate(times):
+        if sim is not None and t > sim.horizon:
+            raise ConfigError(
+                f"config.output_times[{k}]: must be <= sim.horizon "
+                f"{sim.horizon}, got {t}"
+            )
     return RunConfig(
-        mode=mode,
-        seed=seed,
-        out_dir=out_dir,
+        mode=name,
+        seed=top["seed"],
+        out_dir=top["out_dir"],
         kernel=kernel,
         model=model,
         sim=sim,
-        output_times=_output_times(mapping),
-        params=params,
+        output_times=times,
+        params=_fields(top[mode.section], mode.fields, mode.section),
         raw=mapping,
     )
 

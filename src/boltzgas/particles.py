@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import MollifiedEmpiricalModel, maxwell_abs_moment, wrap_position
+from .engine import check_envelope
 from .geometry import deflection_alpha
 from .kernels import angular_mass, angular_weighted_mass, sample_theta, sigma
 
@@ -319,10 +320,8 @@ def step_ensemble(ens, spec, dt, rng):
 
             rel_speed = float(np.linalg.norm(v_cand - vel_frozen[i]))
             intensity = sigma(spec, rel_speed)
-            if intensity > envelope * (1.0 + 1e-9):
-                raise RuntimeError(
-                    f"cross section {intensity} exceeds envelope {envelope}"
-                )
+            # the ensemble draws at no truncation level
+            check_envelope(intensity, envelope, out.time, None)
             theta = float(sample_theta(spec, rng.random()))
             phi = rng.uniform(0.0, 2.0 * math.pi)
             if rng.random() * envelope >= intensity:

@@ -25,6 +25,7 @@ __all__ = [
     "read_csv_columns",
     "write_snapshot_csv",
     "write_distance_csv",
+    "document",
     "report_document",
     "write_report_json",
     "write_manifest",
@@ -145,6 +146,19 @@ def write_distance_csv(path, report):
     _write_csv(path, ["n", "d_n", "stderr"], rows)
 
 
+def document(operation, inputs_digest, value, stderr, tolerance, verdict, details):
+    """The JSON report shape: six fixed keys, the rest under ``details``."""
+    return {
+        "operation": operation,
+        "inputs_digest": inputs_digest,
+        "value": value,
+        "stderr": stderr,
+        "tolerance": tolerance,
+        "verdict": verdict,
+        "details": details,
+    }
+
+
 def report_document(report, inputs_digest):
     """Normalize any report object into the JSON report shape.
 
@@ -173,15 +187,9 @@ def report_document(report, inputs_digest):
         value = None
         stderr = None
         tolerance = None
-    return {
-        "operation": operation,
-        "inputs_digest": inputs_digest,
-        "value": value,
-        "stderr": stderr,
-        "tolerance": tolerance,
-        "verdict": verdict,
-        "details": details,
-    }
+    return document(
+        operation, inputs_digest, value, stderr, tolerance, verdict, details
+    )
 
 
 def _jsonable(obj):

@@ -3,15 +3,17 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import cli, picard
-from boltzgas.config import ConfigError, load_config, validate_config
+from boltzgas.config import MODES, ConfigError, load_config, validate_config
 from boltzgas.runio import read_csv_columns, read_event_log, write_snapshot_csv
 
 
@@ -169,6 +171,86 @@ class TestValidateConfig:
             load_config(str(path))
 
 
+_DELETE = object()
+
+
+def _edited(edits):
+    """``_base_config`` with dotted paths set to values or deleted."""
+    mapping = _base_config()
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        section = mapping
+        for name in parents:
+            section = section[name]
+        if value is _DELETE:
+            del section[key]
+        else:
+            section[key] = value
+    return mapping
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"sim.level": "4"}, "sim.level: expected a number, got '4'"),
+        ({"sim.horizon": 0}, "sim.horizon: must be positive, got 0.0"),
+        ({"simulate.n_paths": 0}, "simulate.n_paths: must be >= 1, got 0"),
+        (
+            {"simulate.n_paths": 2.0},
+            "simulate.n_paths: expected an integer, got 2.0",
+        ),
+        (
+            {"sim.escalate": "yes"},
+            "sim.escalate: expected true or false, got 'yes'",
+        ),
+        ({"out_dir": 3}, "config.out_dir: expected a string, got 3"),
+        (
+            {"model": {"family": "gaussian_product", "drift": "sideways"}},
+            "model.drift: expected one of ['static', 'free_transport'], "
+            "got 'sideways'",
+        ),
+        (
+            {"output_times": 0.5},
+            "config.output_times: expected a list of numbers, got 0.5",
+        ),
+        (
+            {"output_times": [0.1, "x"]},
+            "config.output_times[1]: expected a number, got 'x'",
+        ),
+        (
+            {
+                "mode": "ExitProb",
+                "simulate": _DELETE,
+                "exit_prob": {"n_paths": 10, "thresholds": []},
+            },
+            "exit_prob.thresholds: expected a nonempty list of numbers, got []",
+        ),
+        ({"sim": []}, "config.sim: expected a mapping, got []"),
+        ({"sim.horizon": _DELETE}, "sim: missing required key 'horizon'"),
+        ({"simulate.n_path": 2}, "simulate: unknown keys ['n_path']"),
+        (
+            {"output_times": [0.1, 0.6]},
+            "config.output_times[1]: must be <= sim.horizon 0.5, got 0.6",
+        ),
+    ],
+)
+def test_schema_error_messages(edits, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(_edited(edits))
+    assert str(info.value) == message
+
+
+class TestReadme:
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_config_example_validates(self):
+        block = re.search(r"```json\n(.*?)```", self.text, re.DOTALL).group(1)
+        assert validate_config(json.loads(block)).mode == "Simulate"
+
+    def test_every_mode_is_listed(self):
+        assert [m for m in MODES if f"- `{m}` —" not in self.text] == []
+
+
 def _run_cli(*argv):
     return cli.main(list(argv))
 
@@ -187,6 +269,28 @@ class TestCliValidate:
         path = _write(tmp_path, mapping)
         assert _run_cli("validate", "--config", path) == 1
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            _base_config(sim={"horizon": 0.2}, output_times=[0.1, 0.5]),
+            {
+                "mode": "Particles",
+                "kernel": {"gamma": 0.0, "c": 1.0, "angular": "hard_sphere"},
+                "sim": {"horizon": 0.1},
+                "output_times": [0.05, 0.5],
+                "particles": {"n": 60, "dt": 0.05},
+            },
+        ],
+    )
+    def test_output_time_past_the_horizon_exits_one(
+        self, tmp_path, capsys, mapping
+    ):
+        # caught before any simulation, not after it (Simulate) or
+        # never, with the snapshot silently missing (Particles)
+        path = _write(tmp_path, mapping)
+        assert _run_cli("validate", "--config", path) == 1
+        assert "config.output_times[1]" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path):
         assert _run_cli("validate", "--config", str(tmp_path / "no.json")) == 1
@@ -477,7 +581,7 @@ class TestCliRun:
 
     def test_interrupt_removes_partial_outputs(self, tmp_path, monkeypatch):
         def interrupted(cfg, seed, out, digest):
-            with open(out.path("trajectory_0000.csv"), "w") as fh:
+            with open(os.path.join(out, "trajectory_0000.csv"), "w") as fh:
                 fh.write("t\n0.0\n")
             raise KeyboardInterrupt
 
@@ -487,3 +591,52 @@ class TestCliRun:
         with pytest.raises(KeyboardInterrupt):
             _run_cli("run", "--config", path, "--out", str(out))
         assert not out.exists()
+
+    def test_target_directory_appears_only_when_complete(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+
+        def writes_while_target_absent(cfg, seed, work, digest):
+            assert not out.exists()
+            with open(os.path.join(work, "reports.json"), "w") as fh:
+                fh.write("[]\n")
+            return True
+
+        monkeypatch.setattr(cli, "_execute", writes_while_target_absent)
+        path = _write(tmp_path, _base_config())
+        assert _run_cli("run", "--config", path, "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json",
+            "reports.json",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    def test_nonempty_output_directory_is_refused_before_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "_execute", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run")
+        path = _write(tmp_path, _base_config())
+        assert _run_cli("run", "--config", path, "--out", str(out)) == 1
+        assert "not an empty directory" in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "earlier run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    def test_empty_output_directory_is_replaced(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = _write(tmp_path, _base_config())
+        assert _run_cli("run", "--config", path, "--out", str(out)) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["outputs"] == [
+            "events_0000.jsonl",
+            "events_0001.jsonl",
+            "trajectory_0000.csv",
+            "trajectory_0001.csv",
+        ]

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from boltzgas import kernels, particles
 from boltzgas.densities import MollifiedEmpiricalModel, maxwell_abs_moment
+from boltzgas.engine import EnvelopeError
 from boltzgas.rng import stream
 
 
@@ -223,6 +224,16 @@ class TestStepMechanics:
         out = particles.step_ensemble(ens, quiet, 0.3, stream(5, 0))
         assert_allclose(out.positions[0], [0.2, 0.5, 0.5], atol=1e-12)
         assert np.array_equal(out.velocities, ens.velocities)
+
+    def test_violated_envelope_is_an_envelope_error(self, monkeypatch):
+        # a cross section above its envelope must stop the step, never
+        # thin against a bound that no longer dominates
+        monkeypatch.setattr(
+            particles, "sigma", lambda spec, r: 2.0 * kernels.sigma(spec, r)
+        )
+        ens = small_ensemble(seed=3, mode=particles.SYMMETRIC_PAIR)
+        with pytest.raises(EnvelopeError, match="exceeds envelope"):
+            particles.step_ensemble(ens, LINEAR, 0.2, stream(3, 1))
 
     def test_deterministic_given_stream(self):
         ens = small_ensemble(seed=6, n=60)
