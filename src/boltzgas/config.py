@@ -5,8 +5,8 @@ and simulation window, and one section of mode-specific parameters.
 Configs are meant to be kept as the record of an experiment, so flags
 can override only the seed and the output directory.
 
-Every section but ``kernel`` (which :class:`KernelSpec` checks itself)
-is a table mapping each key to a field ``(kind, default, check)``:
+Every section is a table mapping each key to a field
+``(kind, default, check)``:
 
 * ``kind``: ``number``, ``integer``, ``boolean``, ``string``,
   ``mapping``, ``choice``, or a list, ``numbers`` or ``nonempty numbers``;
@@ -38,7 +38,7 @@ from .densities import (
     MollifiedEmpiricalModel,
 )
 from .engine import SimConfig
-from .kernels import KernelSpec
+from .kernels import HARD_SPHERE, POWER_LAW, KernelSpec
 
 __all__ = ["ConfigError", "RunConfig", "MODES", "load_config", "validate_config"]
 
@@ -121,6 +121,15 @@ _SIM = {
     "escalate": ("boolean", True, None),
     "collisions": ("boolean", True, None),
     "max_events": ("integer", 1_000_000, 1),
+}
+
+# KernelSpec checks the ranges and picks the family's default cutoff
+_KERNEL = {
+    "gamma": ("number", _REQUIRED, None),
+    "c": ("number", _REQUIRED, None),
+    "angular": ("choice", _REQUIRED, (HARD_SPHERE, POWER_LAW)),
+    "nu": ("number", None, None),
+    "epsilon": ("number", None, None),
 }
 
 _SIDE = ("number", 1.0, _POSITIVE)
@@ -267,7 +276,7 @@ def validate_config(mapping, base_dir="."):
     for key in mode.requires:
         if top[key] is None:
             raise ConfigError(f"config: mode {name} requires a {key} section")
-    kernel = _build("kernel", KernelSpec.from_config, top["kernel"])
+    kernel = _build("kernel", KernelSpec, **_fields(top["kernel"], _KERNEL, "kernel"))
     model = None if top["model"] is None else _build_model(top["model"], base_dir)
     sim = None
     if top["sim"] is not None:

@@ -50,6 +50,8 @@ __all__ = [
     "bkw_relaxation_rate",
     "bkw_fourth_moment",
     "maxwell_abs_moment",
+    "pair_blocks",
+    "pair_kernel",
     "wrap_position",
 ]
 
@@ -121,6 +123,34 @@ def _gaussian_pdf_3d(delta, variance):
     """Isotropic Gaussian density evaluated at displacement rows."""
     norm = (2.0 * math.pi * variance) ** -1.5
     return norm * np.exp(-0.5 * np.sum(delta * delta, axis=-1) / variance)
+
+
+# Pairs held in memory at once by every row-by-centre computation: one
+# (rows, centres, 3) float64 displacement block is under 50 MB.
+_PAIR_BUDGET = 2_000_000
+
+
+def pair_blocks(n_rows, n_cols):
+    """Row slices of an ``n_rows`` by ``n_cols`` pair computation.
+
+    Each slice covers as many rows as fit in a fixed budget of pairs (at
+    least one), so peak memory does not grow with the query size.
+    """
+    step = max(1, _PAIR_BUDGET // max(n_cols, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def pair_kernel(x, centers, variance, side=None):
+    """Displacements and isotropic Gaussian kernel of every row-centre pair.
+
+    Returns ``delta[r, k] = x_r - c_k``, taken as the minimum image on a
+    periodic box of the given ``side``, and ``N(delta[r, k]; variance I)``.
+    """
+    delta = x[:, None, :] - centers[None, :, :]
+    if side is not None:
+        delta -= side * np.round(delta / side)
+    return delta, _gaussian_pdf_3d(delta, variance)
 
 
 @dataclass(frozen=True)
@@ -540,38 +570,23 @@ class MollifiedEmpiricalModel(DensityModel):
         stacked = np.column_stack([np.atleast_1d(data[c]) for c in cols])
         return cls(stacked[:, :3], stacked[:, 3:], h_x, h_v, side=side)
 
-    def _spatial_delta(self, x, centers):
-        delta = x[:, None, :] - centers[None, :, :]
-        if self.box_side is not None:
-            delta -= self.box_side * np.round(delta / self.box_side)
-        return delta
-
-    def _row_chunks(self, n_rows):
-        # Pairwise row-by-particle arrays are materialised per chunk to
-        # keep peak memory near 100 MB regardless of the query size.
-        per_chunk = max(1, int(4e6 / max(len(self.velocities), 1)))
-        for start in range(0, n_rows, per_chunk):
-            yield slice(start, min(start + per_chunk, n_rows))
-
     def evaluate(self, t, x, v):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         x, v = np.broadcast_arrays(x, v)
         out = np.empty(x.shape[0])
-        for rows in self._row_chunks(x.shape[0]):
-            dx = self._spatial_delta(x[rows], self.positions)
-            dv = v[rows, None, :] - self.velocities[None, :, :]
-            gx = _gaussian_pdf_3d(dx, self.h_x**2)
-            gv = _gaussian_pdf_3d(dv, self.h_v**2)
+        for rows in pair_blocks(x.shape[0], len(self.positions)):
+            _, gx = pair_kernel(x[rows], self.positions, self.h_x**2, self.box_side)
+            _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
             out[rows] = np.mean(gx * gv, axis=1)
         return out
 
     def velocity_marginal(self, t, v):
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         out = np.empty(v.shape[0])
-        for rows in self._row_chunks(v.shape[0]):
-            dv = v[rows, None, :] - self.velocities[None, :, :]
-            out[rows] = np.mean(_gaussian_pdf_3d(dv, self.h_v**2), axis=1)
+        for rows in pair_blocks(v.shape[0], len(self.velocities)):
+            _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
+            out[rows] = np.mean(gv, axis=1)
         return out
 
     def conditional_sup(self, horizon):
@@ -644,11 +659,9 @@ class MollifiedEmpiricalModel(DensityModel):
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
         x, v = np.broadcast_arrays(x, v)
         out = np.empty((x.shape[0], 3))
-        for rows in self._row_chunks(x.shape[0]):
-            dx = self._spatial_delta(x[rows], self.positions)
-            dv = v[rows, None, :] - self.velocities[None, :, :]
-            gx = _gaussian_pdf_3d(dx, self.h_x**2)
-            gv = _gaussian_pdf_3d(dv, self.h_v**2)
+        for rows in pair_blocks(x.shape[0], len(self.positions)):
+            dx, gx = pair_kernel(x[rows], self.positions, self.h_x**2, self.box_side)
+            _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
             weights = (gx * gv)[:, :, None] * (-dx / self.h_x**2)
             out[rows] = np.mean(weights, axis=1)
         return out

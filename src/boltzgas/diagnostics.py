@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .densities import GaussianProductModel, RadialBoxModel
+from .densities import GaussianProductModel, RadialBoxModel, pair_blocks
 from .geometry import deflection_alpha
 from .kernels import angular_weighted_mass
 from .quadrature import gauss_hermite_3d, gauss_legendre, radial_gaussian_moment
@@ -807,16 +807,12 @@ def relative_entropy_kde(velocities, reference_variance, bandwidth=None):
 
     log_norm = math.log(n - 1) + 1.5 * math.log(2.0 * math.pi * h * h)
     log_kde = np.empty(n)
-    chunk = max(1, int(2**22 // max(n, 1)))
-    for lo in range(0, n, chunk):
-        block = v[lo : lo + chunk]
-        d2 = np.sum(
-            (block[:, None, :] - v[None, :, :]) ** 2, axis=2
-        )
+    for block in pair_blocks(n, n):
+        d2 = np.sum((v[block, None, :] - v[None, :, :]) ** 2, axis=2)
         expo = -0.5 * d2 / (h * h)
-        rows = np.arange(lo, min(lo + chunk, n))
-        expo[rows - lo, rows] = -np.inf
-        log_kde[lo : lo + chunk] = logsumexp(expo, axis=1) - log_norm
+        rows = np.arange(n)[block]
+        expo[rows - block.start, rows] = -np.inf
+        log_kde[block] = logsumexp(expo, axis=1) - log_norm
 
     terms = log_kde - log_ref
     value = float(np.mean(terms))

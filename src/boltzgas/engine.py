@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import angular_mass, sample_theta, sigma
+from .kernels import angular_mass, sample_theta, sigma, sigma_weight
 from .rng import stream
 from .truncation import alpha_j, project_j
 
@@ -210,11 +210,7 @@ class Envelope:
 
     def _weight(self, level, speed):
         """Weight ``W`` at ``speed``; affine, so ``E[W]`` at the mean speed."""
-        if self.kernel.gamma == 0.0:
-            return 1.0
-        if self.kernel.gamma == 1.0:
-            return level + speed
-        return 1.0 + level + speed
+        return sigma_weight(self.kernel, level + speed)
 
     def rate(self, level):
         """Constant candidate rate dominating the jump intensity.

@@ -18,7 +18,7 @@ downstream refers to the cutoff measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -28,6 +28,7 @@ __all__ = [
     "POWER_LAW",
     "KernelSpec",
     "sigma",
+    "sigma_weight",
     "angular_mass",
     "sample_theta",
     "theta_first_moment",
@@ -67,7 +68,7 @@ class KernelSpec:
     c: float
     angular: str
     nu: float | None = None
-    epsilon: float = field(default=-1.0)
+    epsilon: float | None = None
 
     def __post_init__(self):
         if not (-1.0 < self.gamma <= 1.0):
@@ -83,8 +84,7 @@ class KernelSpec:
                 )
         elif self.nu is not None:
             raise ValueError("nu is only meaningful for the power_law family")
-        eps = self.epsilon
-        if eps == -1.0:
+        if self.epsilon is None:
             eps = _DEFAULT_POWER_LAW_EPSILON if self.angular == POWER_LAW else 0.0
             object.__setattr__(self, "epsilon", eps)
         if not (0.0 <= self.epsilon < np.pi):
@@ -93,31 +93,6 @@ class KernelSpec:
             )
         if self.angular == POWER_LAW and self.epsilon == 0.0:
             raise ValueError("power_law has infinite mass without a cutoff")
-
-    def to_config(self):
-        """Serialize to the run-config mapping."""
-        out = {"gamma": self.gamma, "c": self.c, "angular": self.angular,
-               "epsilon": self.epsilon}
-        if self.nu is not None:
-            out["nu"] = self.nu
-        return out
-
-    @staticmethod
-    def from_config(mapping):
-        """Build from a run-config mapping, rejecting unknown keys."""
-        allowed = {"gamma", "c", "angular", "nu", "epsilon"}
-        unknown = set(mapping) - allowed
-        if unknown:
-            raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
-        if "gamma" not in mapping or "c" not in mapping or "angular" not in mapping:
-            raise ValueError("kernel config requires gamma, c and angular")
-        return KernelSpec(
-            gamma=float(mapping["gamma"]),
-            c=float(mapping["c"]),
-            angular=str(mapping["angular"]),
-            nu=float(mapping["nu"]) if "nu" in mapping else None,
-            epsilon=float(mapping.get("epsilon", -1.0)),
-        )
 
 
 def sigma(spec, r):
@@ -150,6 +125,22 @@ def sigma(spec, r):
     if np.isscalar(r) or r_.ndim == 0:
         return float(out)
     return out
+
+
+def sigma_weight(spec, speed):
+    """Weight ``W`` with ``sigma(r) <= c W(speed)`` for every ``r <= speed``.
+
+    ``W = 1`` for ``gamma = 0``, ``W = speed`` for ``gamma = 1`` and
+    ``W = 1 + speed`` in between, since ``r**gamma <= 1 + r``.  Soft
+    potentials admit no such weight and raise.
+    """
+    if spec.gamma == 0.0:
+        return 1.0
+    if spec.gamma == 1.0:
+        return speed
+    if spec.gamma > 0.0:
+        return 1.0 + speed
+    raise ValueError("soft potentials admit no cross-section weight")
 
 
 def _hard_sphere_mass(eps):

@@ -48,10 +48,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import MollifiedEmpiricalModel, maxwell_abs_moment, wrap_position
+from .densities import (
+    MollifiedEmpiricalModel,
+    maxwell_abs_moment,
+    pair_blocks,
+    pair_kernel,
+    wrap_position,
+)
 from .engine import check_envelope
 from .geometry import deflection_alpha
-from .kernels import angular_mass, angular_weighted_mass, sample_theta, sigma
+from .kernels import (
+    angular_mass,
+    angular_weighted_mass,
+    sample_theta,
+    sigma,
+    sigma_weight,
+)
 
 __all__ = [
     "ONE_SIDED",
@@ -170,59 +182,30 @@ def maxwellian_ensemble(
     )
 
 
-def _min_image(delta, side):
-    return delta - side * np.round(delta / side)
+def _pair_rate(ens, spec, mass):
+    """Pair-rate factor ``2 pi mass c / (N - 1)`` of the ensemble's mode."""
+    prefactor = 2.0 * math.pi * mass * spec.c / (ens.n - 1)
+    if ens.mode == SYMMETRIC_PAIR:
+        # halve the pair rate: both partners move per event, so each
+        # particle keeps the one-sided collision frequency
+        prefactor *= 0.5
+    return prefactor
 
 
-def _weight_constant(gamma, h_v, mode):
-    """Velocity-independent part of the pair weight."""
-    xi_mean = maxwell_abs_moment(1.0, 1) if mode == ONE_SIDED else 0.0
-    if gamma == 0.0:
-        return 1.0
-    if gamma == 1.0:
-        return h_v * xi_mean
-    return 1.0 + h_v * xi_mean
+def _pair_weights(pos, vel, rows, h_x, side, spec, shift):
+    """Pair weights ``K(x_i - x_j) W(|v_i - v_j| + shift)`` of the given rows.
 
-
-def _rate_row(i, positions, velocities, h_x, h_v, side, gamma, mode):
-    """Unnormalized candidate weights ``K_ij w_ij`` for one particle."""
-    disp = _min_image(positions - positions[i], side)
-    kern = (2.0 * math.pi * h_x**2) ** -1.5 * np.exp(
-        -(disp**2).sum(axis=1) / (2.0 * h_x**2)
-    )
-    const = _weight_constant(gamma, h_v, mode)
-    if gamma == 0.0:
-        row = kern * const
-    else:
-        gaps = np.linalg.norm(velocities - velocities[i], axis=1)
-        row = kern * (gaps + const)
-    row[i] = 0.0
-    return row
-
-
-def _rate_rows_sum(positions, velocities, h_x, h_v, side, gamma, mode):
-    """Row sums ``sum_j K_ij w_ij`` for every particle, chunked."""
-    n = len(positions)
-    k_norm = (2.0 * math.pi * h_x**2) ** -1.5
-    const = _weight_constant(gamma, h_v, mode)
-    sums = np.empty(n)
-    block = max(1, int(2e6) // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        disp = _min_image(
-            positions[lo:hi, np.newaxis] - positions[np.newaxis], side
-        )
-        kern = k_norm * np.exp(-(disp**2).sum(axis=2) / (2.0 * h_x**2))
-        kern[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-        if gamma == 0.0:
-            sums[lo:hi] = kern.sum(axis=1) * const
-        else:
-            gaps = np.linalg.norm(
-                velocities[lo:hi, np.newaxis] - velocities[np.newaxis],
-                axis=2,
-            )
-            sums[lo:hi] = (kern * (gaps + const)).sum(axis=1)
-    return sums
+    ``rows`` selects the particles ``i`` (a slice or index array); the
+    self-pairs are zero.
+    """
+    _, weights = pair_kernel(pos[rows], pos, h_x**2, side)
+    # W = 1 at gamma = 0; the velocity gaps would cost half again
+    if spec.gamma != 0.0:
+        gaps = np.linalg.norm(vel[rows, np.newaxis] - vel[np.newaxis], axis=2)
+        weights = weights * sigma_weight(spec, gaps + shift)
+    index = np.arange(len(pos))[rows]
+    weights[np.arange(len(index)), index] = 0.0
+    return weights
 
 
 def _sample_xi(rng, plain_weight, tilt_weight):
@@ -249,25 +232,24 @@ def step_ensemble(ens, spec, dt, rng):
     """
     if spec.gamma < 0.0:
         raise ValueError("soft potentials admit no candidate envelope")
-    if dt < 0.0:
-        raise ValueError("dt must be nonnegative")
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
     out = ens.copy()
     n = out.n
-    gamma = spec.gamma
-    prefactor = 2.0 * math.pi * angular_mass(spec) * spec.c / (n - 1)
-    if out.mode == SYMMETRIC_PAIR:
-        # halve the pair rate: both partners move per event, so each
-        # particle keeps the one-sided collision frequency
-        prefactor *= 0.5
+    prefactor = _pair_rate(out, spec, angular_mass(spec))
     xi_mean = maxwell_abs_moment(1.0, 1)
+    # one-sided rows average W over the partner's mollifier shift h_v xi
+    shift = out.h_v * xi_mean if out.mode == ONE_SIDED else 0.0
+    pair = (out.h_x, out.side, spec, shift)
 
     remaining = float(dt)
     while remaining > 0.0:
         pos_frozen = out.positions.copy()
         vel_frozen = out.velocities.copy()
-        rates = prefactor * _rate_rows_sum(
-            pos_frozen, vel_frozen, out.h_x, out.h_v, out.side, gamma, out.mode
-        )
+        rates = prefactor * np.concatenate([
+            _pair_weights(pos_frozen, vel_frozen, rows, *pair).sum(axis=1)
+            for rows in pair_blocks(n, n)
+        ])
         peak = rates.max()
         if peak <= 0.0:
             sub = remaining
@@ -280,68 +262,52 @@ def step_ensemble(ens, spec, dt, rng):
         remaining -= sub
 
         fires = np.nonzero(rng.random(n) < rates * sub)[0]
-        for i in fires:
+        for block in pair_blocks(len(fires), n):
             # candidate law entirely from the frozen snapshot
-            row = _rate_row(
-                i,
-                pos_frozen,
-                vel_frozen,
-                out.h_x,
-                out.h_v,
-                out.side,
-                gamma,
-                out.mode,
-            )
-            total = row.sum()
-            if total <= 0.0:
-                continue
-            j = int(np.searchsorted(np.cumsum(row), rng.random() * total))
-            gap = float(np.linalg.norm(vel_frozen[j] - vel_frozen[i]))
+            rows = _pair_weights(pos_frozen, vel_frozen, fires[block], *pair)
+            for i, row in zip(fires[block], rows):
+                total = row.sum()
+                if total <= 0.0:
+                    continue
+                j = int(np.searchsorted(np.cumsum(row), rng.random() * total))
+                gap = float(np.linalg.norm(vel_frozen[j] - vel_frozen[i]))
+                v_cand, speed = vel_frozen[j], gap
+                if out.mode == ONE_SIDED:
+                    if spec.gamma == 0.0:
+                        xi = rng.normal(size=3)
+                    else:
+                        # the envelope c W(gap + h_v |xi|) is affine in
+                        # |xi|; drawing xi in proportion to it makes its
+                        # mean the pair weight W(gap + h_v E|xi|)
+                        xi = _sample_xi(
+                            rng, sigma_weight(spec, gap), out.h_v * xi_mean
+                        )
+                    v_cand = v_cand + out.h_v * xi
+                    speed = gap + out.h_v * float(np.linalg.norm(xi))
+                envelope = spec.c * sigma_weight(spec, speed)
 
-            if out.mode == ONE_SIDED:
-                if gamma == 0.0:
-                    xi = rng.normal(size=3)
-                    envelope = spec.c
-                else:
-                    # xi is drawn in proportion to the envelope
-                    # c (plain + h_v |xi|), whose mean over xi is the
-                    # pair weight plain + h_v E|xi| of the rate row
-                    plain = gap if gamma == 1.0 else 1.0 + gap
-                    xi = _sample_xi(rng, plain, out.h_v * xi_mean)
-                    envelope = spec.c * (
-                        plain + out.h_v * float(np.linalg.norm(xi))
-                    )
-                v_cand = vel_frozen[j] + out.h_v * xi
-            else:
-                v_cand = vel_frozen[j]
-                envelope = spec.c * (gap if gamma == 1.0 else 1.0 + gap)
-                if gamma == 0.0:
-                    envelope = spec.c
+                rel_speed = float(np.linalg.norm(v_cand - vel_frozen[i]))
+                intensity = sigma(spec, rel_speed)
+                # the ensemble draws at no truncation level
+                check_envelope(intensity, envelope, out.time, None)
+                theta = float(sample_theta(spec, rng.random()))
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                if rng.random() * envelope >= intensity:
+                    continue
 
-            rel_speed = float(np.linalg.norm(v_cand - vel_frozen[i]))
-            intensity = sigma(spec, rel_speed)
-            # the ensemble draws at no truncation level
-            check_envelope(intensity, envelope, out.time, None)
-            theta = float(sample_theta(spec, rng.random()))
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            if rng.random() * envelope >= intensity:
-                continue
-
-            # write-back on the current state, in ascending fire order;
-            # the pair kick uses the partners' present velocities so the
-            # elastic exchange conserves exactly even under same-window
-            # recollisions
-            if out.mode == ONE_SIDED:
+                # write-back on the current state, in ascending fire
+                # order; the pair kick uses the partners' present
+                # velocities so the elastic exchange conserves exactly
+                # even under same-window recollisions
                 kick = deflection_alpha(
-                    out.velocities[i], v_cand, theta, phi
+                    out.velocities[i],
+                    v_cand if out.mode == ONE_SIDED else out.velocities[j],
+                    theta,
+                    phi,
                 )
                 out.velocities[i] = out.velocities[i] + kick
-            else:
-                kick = deflection_alpha(
-                    out.velocities[i], out.velocities[j], theta, phi
-                )
-                out.velocities[i] = out.velocities[i] + kick
-                out.velocities[j] = out.velocities[j] - kick
+                if out.mode == SYMMETRIC_PAIR:
+                    out.velocities[j] = out.velocities[j] - kick
     return out
 
 
@@ -353,8 +319,10 @@ def evolve_ensemble(ens, spec, horizon, dt, rng, snapshot_times=None):
     (hit exactly: the stepper is called with whatever remains until the
     next snapshot).
     """
-    if horizon < ens.time:
-        raise ValueError("horizon lies before the ensemble time")
+    if not ens.time <= horizon < math.inf:
+        raise ValueError("horizon must be finite, not before the ensemble time")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     wanted = {t for t in (snapshot_times or []) if ens.time < t <= horizon}
     snapshots = []
     current = ens
@@ -387,28 +355,16 @@ def ensemble_energy_rate(ens, spec):
     """
     if spec.gamma != 0.0:
         raise ValueError("closed-form energy rate requires gamma = 0")
-    beta = angular_weighted_mass(spec, "sin2_half")
-    n = ens.n
-    prefactor = 2.0 * math.pi * beta * spec.c / (n - 1)
-    if ens.mode == SYMMETRIC_PAIR:
-        prefactor *= 0.5
+    prefactor = _pair_rate(ens, spec, angular_weighted_mass(spec, "sin2_half"))
     shift = 3.0 * ens.h_v**2 if ens.mode == ONE_SIDED else 0.0
     energies = (ens.velocities**2).sum(axis=1)
 
     total = 0.0
-    block = max(1, int(4e6) // n)
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        disp = _min_image(
-            ens.positions[lo:hi, np.newaxis] - ens.positions[np.newaxis],
-            ens.side,
+    for rows in pair_blocks(ens.n, ens.n):
+        # W = 1: the flat cross section is its own weight
+        kern = _pair_weights(
+            ens.positions, ens.velocities, rows, ens.h_x, ens.side, spec, 0.0
         )
-        kern = (2.0 * math.pi * ens.h_x**2) ** -1.5 * np.exp(
-            -(disp**2).sum(axis=2) / (2.0 * ens.h_x**2)
-        )
-        kern[:, lo:hi][
-            np.arange(hi - lo), np.arange(lo, hi) - lo
-        ] = 0.0
-        gaps = energies[lo:hi, np.newaxis] - (energies + shift)[np.newaxis]
+        gaps = energies[rows, np.newaxis] - (energies + shift)[np.newaxis]
         total += float((kern * gaps).sum())
     return -prefactor * total

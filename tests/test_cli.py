@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from boltzgas import cli, picard
 from boltzgas.config import MODES, ConfigError, load_config, validate_config
+from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
 from boltzgas.runio import read_csv_columns, read_event_log, write_snapshot_csv
 
 
@@ -73,6 +74,22 @@ class TestValidateConfig:
         mapping["kernel"]["mass"] = 3.0
         with pytest.raises(ConfigError, match="mass"):
             validate_config(mapping)
+
+    def test_kernel_section_builds_the_spec(self):
+        specs = [
+            {"gamma": 0.3, "c": 2.0, "angular": "hard_sphere", "epsilon": 0.2},
+            {"gamma": 0.0, "c": 1, "angular": "power_law", "nu": 0.5},
+            # an explicit null is the missing key: no nu, the default cutoff
+            {"gamma": 1, "c": 1, "angular": "hard_sphere", "nu": None,
+             "epsilon": None},
+        ]
+        expected = [
+            KernelSpec(gamma=0.3, c=2.0, angular=HARD_SPHERE, epsilon=0.2),
+            KernelSpec(gamma=0.0, c=1.0, angular=POWER_LAW, nu=0.5),
+            KernelSpec(gamma=1.0, c=1.0, angular=HARD_SPHERE),
+        ]
+        for kernel, spec in zip(specs, expected):
+            assert validate_config(_base_config(kernel=kernel)).kernel == spec
 
     def test_unknown_model_family(self):
         mapping = _base_config(model={"family": "plasma"})
@@ -231,6 +248,20 @@ def _edited(edits):
         (
             {"output_times": [0.1, 0.6]},
             "config.output_times[1]: must be <= sim.horizon 0.5, got 0.6",
+        ),
+        ({"kernel.sigma_max": 3.0}, "kernel: unknown keys ['sigma_max']"),
+        ({"kernel.angular": _DELETE}, "kernel: missing required key 'angular'"),
+        ({"kernel.gamma": None}, "kernel.gamma: expected a number, got None"),
+        ({"kernel.c": [1]}, "kernel.c: expected a number, got [1]"),
+        ({"kernel.c": "1.0"}, "kernel.c: expected a number, got '1.0'"),
+        (
+            {"kernel.angular": "cone"},
+            "kernel.angular: expected one of ['hard_sphere', 'power_law'], "
+            "got 'cone'",
+        ),
+        (
+            {"kernel.angular": "power_law", "kernel.nu": None},
+            "kernel: power_law requires nu in (0, 1), got None",
         ),
     ],
 )

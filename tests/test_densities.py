@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from boltzgas import densities
 from boltzgas.densities import (
     BKWModel,
     BoxMaxwellianModel,
@@ -18,6 +19,8 @@ from boltzgas.densities import (
     bkw_relaxation_rate,
     certify_hypotheses,
     maxwell_abs_moment,
+    pair_blocks,
+    pair_kernel,
 )
 from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
 from boltzgas.quadrature import gauss_hermite_3d
@@ -483,6 +486,23 @@ class TestMollifiedEmpiricalModel:
         far = model.evaluate(0.0, np.array([[1.0, 1.0, 1.0]]), np.zeros((1, 3)))
         assert near[0] > far[0]
 
+    def test_rows_do_not_depend_on_blocking(self, monkeypatch):
+        model = self.make_model(n=300)
+        rng = stream(13, 0)
+        x = 2.0 * rng.random((7, 3))
+        v = model.sample_velocity(0.0, rng, 7)
+        # two rows of 300 centres per block: the query spans four blocks
+        monkeypatch.setattr(densities, "_PAIR_BUDGET", 600)
+        assert len(list(pair_blocks(7, 300))) == 4
+        for method in ("evaluate", "conditional", "grad_x"):
+            query = getattr(model, method)
+            single = [query(0.0, x[k : k + 1], v[k : k + 1]) for k in range(7)]
+            assert np.array_equal(query(0.0, x, v), np.concatenate(single))
+        single = [model.velocity_marginal(0.0, v[k : k + 1]) for k in range(7)]
+        assert np.array_equal(
+            model.velocity_marginal(0.0, v), np.concatenate(single)
+        )
+
     def test_csv_round_trip(self, tmp_path):
         model = self.make_model(n=40)
         path = tmp_path / "snapshot.csv"
@@ -514,6 +534,32 @@ class TestMollifiedEmpiricalModel:
             MollifiedEmpiricalModel(
                 np.zeros((5, 3)), np.zeros((5, 3)), 0.5, 0.1, side=1.0
             )
+
+
+class TestPairKernel:
+    def test_minimum_image_displacements_flip_under_swap(self):
+        rng = stream(14, 0)
+        a = rng.uniform(-5.0, 5.0, (6, 3))
+        b = np.vstack([rng.uniform(-5.0, 5.0, (4, 3)), a[:1] + [1.5, 0.0, 0.0]])
+        d_ab, k_ab = pair_kernel(a, b, 0.3, side=3.0)
+        d_ba, k_ba = pair_kernel(b, a, 0.3, side=3.0)
+        assert d_ab.shape == (6, 5, 3) and k_ab.shape == (6, 5)
+        assert np.all(np.abs(d_ab) <= 1.5)
+        assert np.array_equal(d_ab, -d_ba.transpose(1, 0, 2))
+        assert np.array_equal(k_ab, k_ba.T)
+        norm = (2.0 * math.pi * 0.3) ** -1.5
+        assert_allclose(
+            k_ab, norm * np.exp(-np.sum(d_ab**2, axis=2) / 0.6), rtol=1e-14
+        )
+
+    def test_blocks_cover_the_rows_in_order_within_the_budget(self):
+        for n_rows, n_cols in [(0, 4), (9, 1), (5, 900_000), (3, 5_000_000)]:
+            blocks = list(pair_blocks(n_rows, n_cols))
+            covered = [row for block in blocks for row in range(n_rows)[block]]
+            assert covered == list(range(n_rows))
+            for block in blocks:
+                size = block.stop - block.start
+                assert size == 1 or size * n_cols <= 2_000_000
 
 
 class TestCertification:

@@ -1,11 +1,17 @@
-"""Module boundaries: no module imports another module's private names."""
+"""Module boundaries: no module imports another module's private names.
+
+The demos and the benchmark harness run outside the test suite, so the
+names they read from ``boltzgas`` are checked here to exist and be public.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import boltzgas
 
 PACKAGE_DIR = Path(boltzgas.__file__).parent
+REPO_DIR = Path(__file__).resolve().parents[1]
 
 
 def private_imports(source):
@@ -48,5 +54,81 @@ def test_no_module_imports_private_names_of_another():
         path.name: names
         for path in modules
         if (names := private_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def package_names(source):
+    """``(module, name)`` pairs that a script reads from ``boltzgas``.
+
+    Covers ``from boltzgas[.module] import name`` and attribute reads
+    ``alias.name`` where ``alias`` is bound by ``import boltzgas[.module]``.
+    """
+    tree = ast.parse(source)
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "boltzgas":
+                found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "boltzgas":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    aliases[bound] = alias.name if alias.asname else "boltzgas"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            found.append((aliases[node.value.id], node.attr))
+    return found
+
+
+def unresolved(module, name):
+    """Why ``module.name`` is not a public name of the package, or ``None``."""
+    if name.startswith("_") and not name.endswith("__"):
+        return "private"
+    if hasattr(importlib.import_module(module), name):
+        return None
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return "missing"
+    return None
+
+
+def test_script_reader_finds_imports_and_attribute_reads():
+    source = (
+        "import boltzgas as bg\n"
+        "import numpy as np\n"
+        "from boltzgas.kernels import sigma\n"
+        "bg.simulate(np.zeros(3))\n"
+    )
+    assert sorted(package_names(source)) == [
+        ("boltzgas", "simulate"),
+        ("boltzgas.kernels", "sigma"),
+    ]
+    assert unresolved("boltzgas", "simulate") is None
+    assert unresolved("boltzgas", "runio") is None
+    assert unresolved("boltzgas", "no_such_name") == "missing"
+    assert unresolved("boltzgas.engine", "_simulate") == "private"
+
+
+def test_demos_and_benchmark_read_existing_public_names():
+    scripts = sorted(REPO_DIR.glob("demos/*.py")) + sorted(
+        REPO_DIR.glob("perfbench/*.py")
+    )
+    assert len(scripts) > 10
+    offenders = {
+        f"{path.parent.name}/{path.name}": bad
+        for path in scripts
+        if (
+            bad := [
+                (module, name, why)
+                for module, name in package_names(path.read_text())
+                if (why := unresolved(module, name))
+            ]
+        )
     }
     assert offenders == {}

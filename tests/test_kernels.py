@@ -13,6 +13,7 @@ from boltzgas.kernels import (
     angular_weighted_mass,
     sample_theta,
     sigma,
+    sigma_weight,
     theta_first_moment,
 )
 
@@ -62,21 +63,6 @@ class TestKernelSpecValidation:
         spec = KernelSpec(gamma=0.0, c=1.0, angular=POWER_LAW, nu=0.5)
         assert spec.epsilon == 1e-3
 
-    def test_config_round_trip(self):
-        for spec in (hard_sphere(gamma=0.3, c=2.0, epsilon=0.2), power_law()):
-            again = KernelSpec.from_config(spec.to_config())
-            assert again == spec
-
-    def test_config_rejects_unknown_keys(self):
-        cfg = hard_sphere().to_config()
-        cfg["sigma_max"] = 3.0
-        with pytest.raises(ValueError, match="sigma_max"):
-            KernelSpec.from_config(cfg)
-
-    def test_config_requires_core_fields(self):
-        with pytest.raises(ValueError):
-            KernelSpec.from_config({"gamma": 0.0, "c": 1.0})
-
 
 class TestCrossSection:
     def test_power_scaling(self):
@@ -96,6 +82,19 @@ class TestCrossSection:
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             sigma(hard_sphere(), -1.0)
+
+
+class TestSigmaWeight:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+    def test_bounds_the_cross_section_below_the_speed(self, gamma):
+        spec = hard_sphere(gamma=gamma, c=2.5)
+        for speed in (0.0, 0.3, 1.0, 7.0):
+            r = np.linspace(0.0, speed, 101)
+            assert np.all(sigma(spec, r) <= spec.c * sigma_weight(spec, speed))
+
+    def test_soft_potential_has_no_weight(self):
+        with pytest.raises(ValueError, match="soft"):
+            sigma_weight(hard_sphere(gamma=-0.5), 1.0)
 
 
 class TestAngularMass:

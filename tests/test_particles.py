@@ -198,6 +198,12 @@ class TestStepMechanics:
         with pytest.raises(ValueError, match="nonnegative"):
             particles.step_ensemble(small_ensemble(), FLAT, -0.1, stream(1, 1))
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_nonfinite_dt_rejected(self, dt):
+        # nan used to return the state unadvanced, inf to never return
+        with pytest.raises(ValueError, match="nonnegative"):
+            particles.step_ensemble(small_ensemble(), FLAT, dt, stream(1, 1))
+
     def test_soft_potential_rejected(self):
         soft = kernels.KernelSpec(
             gamma=-0.5, c=1.0, angular=kernels.HARD_SPHERE
@@ -292,6 +298,44 @@ class TestOneSidedProposal:
         assert abs(sq.mean() - expected) < 4.0 * se
 
 
+class TestPartnerLaw:
+    def test_symmetric_kicked_pairs_follow_the_pair_weights(self):
+        # Particles 0 and 1 straddle the periodic boundary: 0.1 apart as
+        # a minimum image, 0.9 without it.  At gamma = 1 every candidate
+        # of the hard-sphere kernel is accepted, so pair {i, j} is kicked
+        # at a rate proportional to K(x_i - x_j) |v_i - v_j|.  A window
+        # of 0.005 kicks a pair in 8% of the steps and two pairs so
+        # rarely that the law of the kicked pair moves by at most 0.0012,
+        # against a standard error near 0.015 for the ~980 kicks of
+        # 12 000 steps; the band is 4 standard errors.
+        h_x = 0.3
+        ens = particles.ParticleEnsemble(
+            positions=[[0.05, 0.5, 0.5], [0.95, 0.5, 0.5], [0.5, 0.5, 0.5]],
+            velocities=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+            h_x=h_x,
+            h_v=0.1,
+            mode=particles.SYMMETRIC_PAIR,
+        )
+        spec = kernels.KernelSpec(gamma=1.0, c=1.0, angular=kernels.HARD_SPHERE)
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        distances = np.array([0.1, 0.45, 0.45])
+        gaps = np.array([1.0, 2.0, math.sqrt(5.0)])
+        weights = np.exp(-(distances**2) / (2.0 * h_x**2)) * gaps
+        expected = weights / weights.sum()
+
+        rng = stream(44, 0)
+        counts = dict.fromkeys(pairs, 0)
+        for _ in range(12000):
+            out = particles.step_ensemble(ens, spec, 0.005, rng)
+            moved = np.any(out.velocities != ens.velocities, axis=1)
+            if np.count_nonzero(moved) == 2:
+                counts[tuple(np.nonzero(moved)[0])] += 1
+        n_kicks = sum(counts.values())
+        observed = np.array([counts[pair] for pair in pairs]) / n_kicks
+        se = np.sqrt(expected * (1.0 - expected) / n_kicks)
+        assert np.all(np.abs(observed - expected) < 4.0 * se)
+
+
 class TestEvolveEnsemble:
     def test_snapshots_at_marks(self):
         ens = small_ensemble(seed=8, n=30)
@@ -316,6 +360,18 @@ class TestEvolveEnsemble:
         ens.time = 1.0
         with pytest.raises(ValueError, match="horizon"):
             particles.evolve_ensemble(ens, FLAT, 0.5, 0.1, stream(1, 1))
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan])
+    def test_bad_step_rejected(self, dt):
+        # both used to loop forever
+        with pytest.raises(ValueError, match="dt must be positive"):
+            particles.evolve_ensemble(small_ensemble(), FLAT, 0.5, dt, stream(1, 1))
+
+    def test_infinite_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            particles.evolve_ensemble(
+                small_ensemble(), FLAT, math.inf, 0.1, stream(1, 1)
+            )
 
     def test_no_snapshots_returns_final_only(self):
         ens = small_ensemble(seed=9, n=20)
