@@ -11,7 +11,7 @@ truncation levels.
 import numpy as np
 
 from boltzgas.densities import BoxMaxwellianModel
-from boltzgas.engine import majorant_rate
+from boltzgas.engine import Envelope
 from boltzgas.kernels import (
     HARD_SPHERE,
     POWER_LAW,
@@ -48,7 +48,7 @@ def main():
     print("\ncandidate rates in the unit box (before thinning)")
     for level in (2.0, 4.0, 8.0, 16.0):
         rates = [
-            majorant_rate(box, k, level, horizon=1.0)
+            Envelope(box, k, horizon=1.0).rate(level)
             for k in (hard, flat, grazing)
         ]
         print(

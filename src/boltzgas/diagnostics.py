@@ -54,9 +54,6 @@ __all__ = [
     "moment_report",
 ]
 
-_MOMENT_CHUNK = 65536
-
-
 def smooth_bump(u):
     """Flat-topped compactly supported bump ``exp(1 - 1/(1 - u^2))``.
 
@@ -278,8 +275,9 @@ def _tilted_moment(speeds, component, p, q, radial_factor=None, n_nodes=400):
     """
     s = component.variance
     out = np.empty_like(speeds)
-    for lo in range(0, len(speeds), _MOMENT_CHUNK):
-        r = speeds[lo : lo + _MOMENT_CHUNK]
+    # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per speed
+    for rows in pair_blocks(len(speeds), n_nodes // 2 + n_nodes):
+        r = speeds[rows]
         if component.power2m == 0:
             val = radial_gaussian_moment(
                 r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
@@ -299,7 +297,7 @@ def _tilted_moment(speeds, component, p, q, radial_factor=None, n_nodes=400):
             raise NotImplementedError(
                 f"tilt power 2m = {2 * component.power2m} not supported"
             )
-        out[lo : lo + _MOMENT_CHUNK] = val
+        out[rows] = val
     return out
 
 
@@ -562,20 +560,8 @@ def weak_residual(
 
     needs_action = collisions and psi.collision_active
     if needs_action:
-        comps0 = model.radial_components(0.0)
-        comps1 = model.radial_components(horizon)
-        static = (
-            comps0 is not None
-            and comps1 is not None
-            and len(comps0) == len(comps1)
-            and all(
-                a.weight == b.weight
-                and a.variance == b.variance
-                and a.power2m == b.power2m
-                for a, b in zip(comps0, comps1)
-            )
-        )
-        if not static:
+        comps0, comps1 = (model.radial_components(t) for t in (0.0, horizon))
+        if comps0 is None or comps1 is None or tuple(comps0) != tuple(comps1):
             raise ValueError(
                 "collision quadrature requires a radial velocity mixture that "
                 f"is constant over the window, which {type(model).__name__} "

@@ -57,7 +57,6 @@ __all__ = [
     "Trajectory",
     "EnvelopeError",
     "Envelope",
-    "majorant_rate",
     "check_envelope",
     "jump_intensity",
     "initial_state",
@@ -259,10 +258,33 @@ class Envelope:
         bound = self.kernel.c * self._weight(level, np.linalg.norm(v)) * self.f_sup
         return v, theta, phi, rng.random() * bound, bound
 
+    def candidates(self, t, level, rng):
+        """The candidate clock on ``(t, horizon)``: ``(time, marks)`` pairs.
 
-def majorant_rate(model, kernel, level, horizon):
-    """Shorthand for ``Envelope(model, kernel, horizon).rate(level)``."""
-    return Envelope(model, kernel, horizon).rate(level)
+        Exponential inter-arrivals at the constant :meth:`rate` give the
+        points and :meth:`draw` thins and marks each one (``marks`` is
+        ``None`` for a thinned point); a zero rate gives no point.
+        Sending a new level restarts the clock at the last point's time,
+        a stopping time.  Raises ``RuntimeError`` past
+        ``SimConfig.max_events`` points.
+        """
+        return self._clock(t, level, rng, SimConfig.max_events)
+
+    def _clock(self, t, level, rng, max_events):
+        """:meth:`candidates` with a cap of ``max_events`` points."""
+        rate = self.rate(level)
+        n = 0
+        while rate > 0.0:
+            t = t + rng.exponential(1.0 / rate)
+            if t >= self.horizon:
+                return
+            if n >= max_events:
+                raise RuntimeError(f"candidate count exceeded max_events={max_events}")
+            n += 1
+            new_level = yield t, self.draw(t, level, rng)
+            if new_level is not None:
+                level, rate = new_level, self.rate(new_level)
+                yield  # the reply to send(); iteration resumes with next()
 
 
 def jump_intensity(model, kernel, t, x, z, v, level, bound):
@@ -351,20 +373,12 @@ def _simulate(model, envelope, config, rng, x0, z0, log_events):
     levels = [level]
     log = EventLog()
 
-    # an angular cutoff at pi leaves a zero-mass measure: no jumps
-    rate = 0.0 if envelope is None else envelope.rate(level)
-    t = 0.0
+    clock = () if envelope is None else envelope._clock(
+        0.0, level, rng, config.max_events
+    )
     x = x0.copy()
     z = z0.copy()
-    while rate > 0.0:
-        t = t + rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        if log.n_candidates + log.n_skipped >= config.max_events:
-            raise RuntimeError(
-                f"candidate count exceeded max_events={config.max_events}"
-            )
-        marks = envelope.draw(t, level, rng)
+    for t, marks in clock:
         if marks is None:
             log.n_skipped += 1
             continue
@@ -404,9 +418,9 @@ def _simulate(model, envelope, config, rng, x0, z0, log_events):
         if config.escalate and np.linalg.norm(z) > level:
             while np.linalg.norm(z) > level:
                 level += config.level_step
-            # new envelope constants; the exponential clock restarts at
-            # this jump time, which is a stopping time
-            rate = envelope.rate(level)
+            # new envelope constants; the clock restarts at this jump
+            # time, which is a stopping time
+            clock.send(level)
         levels.append(level)
 
     traj = Trajectory(

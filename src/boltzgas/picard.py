@@ -1,8 +1,9 @@
 """Picard iteration for the velocity-jump process on frozen noise.
 
-All iterates share one realization of the driving randomness: a Poisson
-schedule of candidate atoms, each carrying a proposal velocity, a
-scattering angle pair, and an absolute acceptance threshold.  Every
+All iterates share one realization of the driving randomness: the
+engine's candidates at a fixed truncation level, drawn by the same
+envelope clock, each atom carrying a proposal velocity, a scattering
+angle pair, and an absolute acceptance threshold.  Every
 iterate is an engine :class:`~boltzgas.engine.Trajectory` carrying the
 per-atom state the next pass reads.  Iterate zero is the free flight
 ``(X_0 + t Z_0, Z_0)``, which is exactly the pass that accepts no atom;
@@ -112,10 +113,12 @@ class PicardPath(Trajectory):
 def frozen_noise(model, kernel, level, horizon, rng, x0=None, z0=None):
     """Draw the complete atom list for one realization.
 
-    The schedule is a Poisson process at the constant majorant rate;
-    atoms are thinned down to the time-varying dominating rate and the
-    survivors receive a velocity from the weighted marginal, an angle
-    pair, and an acceptance threshold uniform under the envelope.
+    The atoms are the engine's candidates at the fixed ``level``: the
+    surviving points of :meth:`~boltzgas.engine.Envelope.candidates`,
+    each with a velocity from the weighted marginal, an angle pair and
+    an acceptance threshold uniform under the envelope.  On the same
+    ``rng`` they are the candidate records of
+    ``simulate(..., SimConfig(horizon, level, escalate=False), rng)``.
     """
     return _frozen_noise(Envelope(model, kernel, horizon), level, rng, x0, z0)
 
@@ -125,14 +128,11 @@ def _frozen_noise(envelope, level, rng, x0, z0):
     if level < 1.0:
         raise ValueError("truncation level must be >= 1")
     x0, z0 = initial_state(envelope.model, rng, x0, z0)
-    horizon = envelope.horizon
-    n_raw = rng.poisson(envelope.rate(level) * horizon)
-    times_raw = np.sort(rng.uniform(0.0, horizon, n_raw))
-    atoms = []
-    for t in times_raw:
-        marks = envelope.draw(t, level, rng)
-        if marks is not None:
-            atoms.append((t, *marks))
+    atoms = [
+        (t, *marks)
+        for t, marks in envelope.candidates(0.0, level, rng)
+        if marks is not None
+    ]
     columns = list(zip(*atoms)) or [()] * 6
     times, vels, thetas, phis, thresholds, bounds = map(np.array, columns)
     return FrozenNoise(
@@ -145,7 +145,7 @@ def _frozen_noise(envelope, level, rng, x0, z0):
         x0=x0,
         z0=z0,
         level=level,
-        horizon=horizon,
+        horizon=envelope.horizon,
     )
 
 

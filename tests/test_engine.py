@@ -39,12 +39,12 @@ class TestSimConfig:
 class TestMajorantRate:
     def test_flat_kernel_closed_form(self):
         box = densities.BoxMaxwellianModel(side=2.0, vel_var=1.0)
-        rate = engine.majorant_rate(box, HARD_SPHERE_UNIT, 4.0, 1.0)
+        rate = engine.Envelope(box, HARD_SPHERE_UNIT, 1.0).rate(4.0)
         assert_allclose(rate, 2.0 * math.pi / 8.0, rtol=1e-14)
 
     def test_linear_kernel_uses_speed_bound(self):
         box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
-        rate = engine.majorant_rate(box, HARD_SPHERE_LINEAR, 3.0, 1.0)
+        rate = engine.Envelope(box, HARD_SPHERE_LINEAR, 1.0).rate(3.0)
         # the model's horizon-wide speed bound carries a small safety
         # factor, hence the loose tolerance
         expected = 2.0 * math.pi * 0.5 * 1.0 * (3.0 + math.sqrt(3.0))
@@ -56,7 +56,7 @@ class TestMajorantRate:
             gamma=-0.5, c=1.0, angular=kernels.HARD_SPHERE
         )
         with pytest.raises(ValueError, match="gamma < 0"):
-            engine.majorant_rate(box, soft, 4.0, 1.0)
+            engine.Envelope(box, soft, 1.0).rate(4.0)
 
 
 class TestSharedEnvelope:
@@ -75,6 +75,45 @@ class TestSharedEnvelope:
         )
         assert any(traj.levels[-1] > traj.levels[0] for traj in trajs)
         assert box.speed_bound_calls == 1
+
+
+class TestCandidateClock:
+    def test_points_lie_in_the_window_in_order(self):
+        bkw = densities.BKWModel(side=1.5, vel_var=1.0)
+        env = engine.Envelope(bkw, HARD_SPHERE_LINEAR, 6.0)
+        points = list(env.candidates(0.5, 4.0, stream(8, 0)))
+        times = [t for t, _ in points]
+        assert len(times) > 10 and times == sorted(times)
+        assert 0.5 < times[0] and times[-1] < 6.0
+        assert any(marks is None for _, marks in points)
+
+    def test_sent_level_restarts_the_clock(self):
+        box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
+        env = engine.Envelope(box, HARD_SPHERE_LINEAR, 1.0)
+        rng = stream(9, 0)
+        clock = env.candidates(0.0, 2.0, rng)
+        t, _ = next(clock)
+        clock.send(6.0)
+        restarted = list(clock)
+        fresh_rng = stream(9, 0)
+        fresh = env.candidates(0.0, 2.0, fresh_rng)
+        assert next(fresh)[0] == t
+        expected = list(env.candidates(t, 6.0, fresh_rng))
+        assert len(restarted) == len(expected) > 0
+        for (s, a), (u, b) in zip(restarted, expected):
+            assert s == u and (a is None) == (b is None)
+            if a is not None:
+                assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+    def test_zero_rate_gives_no_point(self):
+        class EmptyBox(densities.BoxMaxwellianModel):
+            def conditional_sup(self, horizon):
+                return 0.0
+
+        env = engine.Envelope(EmptyBox(), HARD_SPHERE_UNIT, 1.0)
+        rng = stream(1, 0)
+        assert list(env.candidates(0.0, 4.0, rng)) == []
+        assert rng.random() == stream(1, 0).random()
 
 
 class TestFlatKernelBox:

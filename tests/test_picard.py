@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import boltzgas as bg
 from boltzgas import densities, kernels, picard
 from boltzgas.diagnostics import Energy, weak_residual
-from boltzgas.engine import EnvelopeError, jump_intensity, majorant_rate
+from boltzgas.engine import Envelope, EnvelopeError, jump_intensity
 from boltzgas.geometry import tanaka_rotation
 from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, project_j
@@ -107,7 +107,7 @@ class TestFrozenNoise:
 
     def test_atom_count_matches_majorant_rate(self):
         horizon = 0.5
-        rate = majorant_rate(BOX, SPEC, 4.0, horizon)
+        rate = Envelope(BOX, SPEC, horizon).rate(4.0)
         n_real = 300
         counts = [
             make_noise(seed=11, index=i, horizon=horizon).n_atoms
@@ -131,6 +131,82 @@ class TestFrozenNoise:
     def test_level_below_one_rejected(self):
         with pytest.raises(ValueError, match="level"):
             picard.frozen_noise(BOX, SPEC, 0.5, 1.0, stream(1, 0))
+
+
+def _empirical_snapshot():
+    rng = np.random.default_rng(3)
+    return densities.MollifiedEmpiricalModel(
+        rng.uniform(0.0, 1.0, (40, 3)), rng.normal(0.0, 1.0, (40, 3)),
+        h_x=0.1, h_v=0.3, side=1.0,
+    )
+
+
+# one model of each density family, with its horizon
+FAMILIES = {
+    "box": (BOX, 0.3),
+    "bkw": (densities.BKWModel(side=1.5, vel_var=1.0), 1.0),
+    "gaussian": (
+        densities.GaussianProductModel(pos_var=0.1, drift="free_transport"),
+        1.0,
+    ),
+    "empirical": (_empirical_snapshot(), 0.2),
+}
+STREAM_KERNELS = {
+    "flat": kernels.KernelSpec(gamma=0.0, c=0.7, angular=kernels.HARD_SPHERE),
+    "hard": kernels.KernelSpec(gamma=1.0, c=0.7, angular=kernels.HARD_SPHERE),
+    "grazing": kernels.KernelSpec(
+        gamma=0.5, c=0.7, angular=kernels.POWER_LAW, nu=0.5, epsilon=0.05
+    ),
+}
+
+
+class TestOneCandidateStream:
+    """The frozen noise is the engine's fixed-level candidate list."""
+
+    @pytest.mark.parametrize("kernel_name", sorted(STREAM_KERNELS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_noise_is_the_engine_event_log(self, family, kernel_name):
+        model, horizon = FAMILIES[family]
+        kernel = STREAM_KERNELS[kernel_name]
+        cfg = bg.SimConfig(horizon=horizon, level=1.5, escalate=False)
+        atoms = 0
+        for i in range(3):
+            noise = picard.frozen_noise(
+                model, kernel, 1.5, horizon, stream(909, i)
+            )
+            traj, log = bg.simulate(model, kernel, cfg, stream(909, i))
+            recs = log.records
+            assert noise.n_atoms == len(recs) == log.n_candidates
+            assert noise.x0.tobytes() == traj.positions[0].tobytes()
+            assert noise.z0.tobytes() == traj.velocities[0].tobytes()
+            columns = {
+                "times": [r.time for r in recs],
+                "velocities": np.reshape([r.velocity for r in recs], (-1, 3)),
+                "thetas": [r.theta for r in recs],
+                "phis": [r.phi for r in recs],
+                "thresholds": [r.r for r in recs],
+                "bounds": [r.bound for r in recs],
+            }
+            for name, column in columns.items():
+                expected = np.asarray(column, dtype=np.float64)
+                assert getattr(noise, name).tobytes() == expected.tobytes(), name
+            atoms += noise.n_atoms
+        assert atoms > 0
+
+    def test_clock_cap_is_the_engine_guard(self, monkeypatch):
+        # the cap counts every clock point, thinned ones included
+        model, horizon = FAMILIES["bkw"]
+        cfg = bg.SimConfig(horizon=horizon, level=4.0, escalate=False)
+        _, log = bg.simulate(model, SPEC, cfg, stream(5, 0))
+        points = log.n_candidates + log.n_skipped
+        assert log.n_skipped > 0
+        monkeypatch.setattr(bg.SimConfig, "max_events", points)
+        picard.frozen_noise(model, SPEC, 4.0, horizon, stream(5, 0))
+        monkeypatch.setattr(bg.SimConfig, "max_events", points - 1)
+        with pytest.raises(
+            RuntimeError, match=f"candidate count exceeded max_events={points - 1}$"
+        ):
+            picard.frozen_noise(model, SPEC, 4.0, horizon, stream(5, 0))
 
 
 def no_jump_noise(noise):
@@ -477,7 +553,7 @@ class TestContraction:
             for k in range(1, 11)
             if not np.array_equal(paths[k].accepted, paths[k - 1].accepted)
         ]
-        assert changed[-1] == 6
+        assert changed[-1] == 5
         assert picard.supremum_distance(paths[10], paths[9]) == 0.0
 
     def test_one_speed_bound_per_profile(self):
