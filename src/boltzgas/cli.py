@@ -8,12 +8,16 @@ verdict passed, 2 when the run completed but a physics verdict failed,
 failures).  The run is written into a temporary directory beside the
 output directory and renamed onto it only once complete, so after an
 error or an interrupt nothing of it remains; an output directory that
-already holds files is refused before any work.
+already holds files is refused before any work.  Only a kill that Python
+cannot catch (SIGKILL, out of memory) leaves a work directory behind; a
+later run beside it names it on stderr but never removes it, since it
+may belong to a run still in progress.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import math
 import os
 import pathlib
@@ -312,6 +316,14 @@ def _command_run(args):
     # so out_dir never holds a partial run
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
+    # another run may still be writing into one, so they are never removed
+    pattern = os.path.join(glob.escape(parent), ".boltzgas-*")
+    for stale in sorted(glob.glob(pattern)):
+        print(
+            f"boltzgas: work directory {stale} was left by another run "
+            "(still running or killed); not removed",
+            file=sys.stderr,
+        )
     work = tempfile.mkdtemp(prefix=".boltzgas-", dir=parent)
     try:
         passed = _execute(cfg, seed, pathlib.Path(work), digest)

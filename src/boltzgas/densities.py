@@ -52,6 +52,7 @@ __all__ = [
     "maxwell_abs_moment",
     "pair_blocks",
     "pair_kernel",
+    "pair_sq_distances",
     "wrap_position",
 ]
 
@@ -126,7 +127,7 @@ def _gaussian_pdf_3d(delta, variance):
 
 
 # Pairs held in memory at once by every row-by-centre computation: one
-# (rows, centres, 3) float64 displacement block is under 50 MB.
+# (3, rows, centres) float64 block of displacement planes is under 50 MB.
 _PAIR_BUDGET = 2_000_000
 
 
@@ -141,16 +142,46 @@ def pair_blocks(n_rows, n_cols):
         yield slice(lo, min(lo + step, n_rows))
 
 
+def pair_sq_distances(x, centers, side=None):
+    """Displacement planes and squared distances of every row-centre pair.
+
+    Returns ``planes[a, r, k] = x_r[a] - c_k[a]``, taken as the minimum
+    image on a periodic box of the given ``side``, and
+    ``|x_r - c_k|^2``.  Each coordinate is a contiguous ``(rows, centres)``
+    plane, which numpy reduces far faster than a length-3 last axis; the
+    squares are summed in the order of a last-axis sum, so the result is
+    the same float.
+    """
+    planes = (
+        np.ascontiguousarray(x.T)[:, :, None]
+        - np.ascontiguousarray(centers.T)[:, None, :]
+    )
+    if side is not None:
+        wrap = planes / side
+        np.round(wrap, out=wrap)
+        wrap *= side
+        planes -= wrap
+    sq = planes[0] * planes[0]
+    term = planes[1] * planes[1]
+    sq += term
+    np.multiply(planes[2], planes[2], out=term)
+    sq += term
+    return planes, sq
+
+
 def pair_kernel(x, centers, variance, side=None):
     """Displacements and isotropic Gaussian kernel of every row-centre pair.
 
     Returns ``delta[r, k] = x_r - c_k``, taken as the minimum image on a
-    periodic box of the given ``side``, and ``N(delta[r, k]; variance I)``.
+    periodic box of the given ``side`` (a view of the coordinate planes
+    of :func:`pair_sq_distances`), and ``N(delta[r, k]; variance I)``.
     """
-    delta = x[:, None, :] - centers[None, :, :]
-    if side is not None:
-        delta -= side * np.round(delta / side)
-    return delta, _gaussian_pdf_3d(delta, variance)
+    planes, kern = pair_sq_distances(x, centers, side)
+    kern *= -0.5
+    kern /= variance
+    np.exp(kern, out=kern)
+    kern *= (2.0 * math.pi * variance) ** -1.5
+    return planes.transpose(1, 2, 0), kern
 
 
 @dataclass(frozen=True)
@@ -504,6 +535,10 @@ class BKWModel(RadialBoxModel):
         k = self.shape_factor(t)
         return 15.0 * self.vel_var**2 * k * (2.0 - k)
 
+    def speed_sq_bound(self, horizon):
+        # the energy E|V|^2 = 3 s is conserved: no scan over the horizon
+        return 3.0 * self.vel_var * (1.0 + 1e-9)
+
     def radial_components(self, t):
         # Each jump candidate reads the mixture several times at one time.
         last_t, comps = self._last_mixture
@@ -570,14 +605,28 @@ class MollifiedEmpiricalModel(DensityModel):
         stacked = np.column_stack([np.atleast_1d(data[c]) for c in cols])
         return cls(stacked[:, :3], stacked[:, 3:], h_x, h_v, side=side)
 
-    def evaluate(self, t, x, v):
+    @staticmethod
+    def _query(x, v):
+        """Query rows as ``(n, 3)`` arrays broadcast against each other."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        x, v = np.broadcast_arrays(x, v)
-        out = np.empty(x.shape[0])
-        for rows in pair_blocks(x.shape[0], len(self.positions)):
-            _, gx = pair_kernel(x[rows], self.positions, self.h_x**2, self.box_side)
+        return np.broadcast_arrays(x, v)
+
+    def _kernel_blocks(self, x, v):
+        """Row blocks of a query with both kernels of every row-particle pair.
+
+        Yields each block's slice, its minimum-image displacements from
+        the particles, and the spatial and velocity kernels.
+        """
+        for rows in pair_blocks(len(x), len(self.positions)):
+            dx, gx = pair_kernel(x[rows], self.positions, self.h_x**2, self.box_side)
             _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
+            yield rows, dx, gx, gv
+
+    def evaluate(self, t, x, v):
+        x, v = self._query(x, v)
+        out = np.empty(len(x))
+        for rows, _, gx, gv in self._kernel_blocks(x, v):
             out[rows] = np.mean(gx * gv, axis=1)
         return out
 
@@ -587,6 +636,17 @@ class MollifiedEmpiricalModel(DensityModel):
         for rows in pair_blocks(v.shape[0], len(self.velocities)):
             _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
             out[rows] = np.mean(gv, axis=1)
+        return out
+
+    def conditional(self, t, x, v):
+        # one velocity kernel per block serves the joint and the marginal
+        x, v = self._query(x, v)
+        out = np.zeros(len(x))
+        for rows, _, gx, gv in self._kernel_blocks(x, v):
+            marg = np.mean(gv, axis=1)
+            np.divide(
+                np.mean(gx * gv, axis=1), marg, out=out[rows], where=marg > 0.0
+            )
         return out
 
     def conditional_sup(self, horizon):
@@ -655,14 +715,14 @@ class MollifiedEmpiricalModel(DensityModel):
         return grad_peak * (1.0 + self.speed_moment(0.0, 2)) * (1.0 + 1e-9)
 
     def grad_x(self, t, x, v):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        x, v = np.broadcast_arrays(x, v)
-        out = np.empty((x.shape[0], 3))
-        for rows in pair_blocks(x.shape[0], len(self.positions)):
-            dx, gx = pair_kernel(x[rows], self.positions, self.h_x**2, self.box_side)
-            _, gv = pair_kernel(v[rows], self.velocities, self.h_v**2)
-            weights = (gx * gv)[:, :, None] * (-dx / self.h_x**2)
+        x, v = self._query(x, v)
+        out = np.empty((len(x), 3))
+        for rows, dx, gx, gv in self._kernel_blocks(x, v):
+            # C order keeps the particle sum of each row in the order of
+            # (rows, particles, 3) arrays, whatever layout dx has
+            weights = np.multiply(
+                (gx * gv)[:, :, None], -dx / self.h_x**2, order="C"
+            )
             out[rows] = np.mean(weights, axis=1)
         return out
 

@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .densities import GaussianProductModel, RadialBoxModel, pair_blocks
+from .densities import (
+    GaussianProductModel,
+    RadialBoxModel,
+    pair_blocks,
+    pair_sq_distances,
+)
 from .geometry import deflection_alpha
 from .kernels import angular_weighted_mass
 from .quadrature import gauss_hermite_3d, gauss_legendre, radial_gaussian_moment
@@ -794,8 +799,9 @@ def relative_entropy_kde(velocities, reference_variance, bandwidth=None):
     log_norm = math.log(n - 1) + 1.5 * math.log(2.0 * math.pi * h * h)
     log_kde = np.empty(n)
     for block in pair_blocks(n, n):
-        d2 = np.sum((v[block, None, :] - v[None, :, :]) ** 2, axis=2)
-        expo = -0.5 * d2 / (h * h)
+        _, expo = pair_sq_distances(v[block], v)
+        expo *= -0.5
+        expo /= h * h
         rows = np.arange(n)[block]
         expo[rows - block.start, rows] = -np.inf
         log_kde[block] = logsumexp(expo, axis=1) - log_norm

@@ -35,7 +35,10 @@ proposed with probability proportional to ``K(x_i - x_j) w_ij`` and
 the residual acceptance is the cross-section ratio against its
 envelope, evaluated on the same frozen snapshot the rates came from.
 The pairwise rate rows cost O(N^2) per window, computed in bounded
-memory.
+memory.  Positions and velocities enter them as coordinate planes
+(:func:`densities.pair_sq_distances`), one contiguous ``(rows, N)``
+array per coordinate, which numpy reduces about three times faster
+than ``(rows, N, 3)`` arrays summed over their last axis.
 
 Soft potentials are rejected: their cross section is unbounded in the
 relative speed and admits no candidate envelope of this form.
@@ -53,6 +56,7 @@ from .densities import (
     maxwell_abs_moment,
     pair_blocks,
     pair_kernel,
+    pair_sq_distances,
     wrap_position,
 )
 from .engine import check_envelope
@@ -201,8 +205,10 @@ def _pair_weights(pos, vel, rows, h_x, side, spec, shift):
     _, weights = pair_kernel(pos[rows], pos, h_x**2, side)
     # W = 1 at gamma = 0; the velocity gaps would cost half again
     if spec.gamma != 0.0:
-        gaps = np.linalg.norm(vel[rows, np.newaxis] - vel[np.newaxis], axis=2)
-        weights = weights * sigma_weight(spec, gaps + shift)
+        _, gaps = pair_sq_distances(vel[rows], vel)
+        np.sqrt(gaps, out=gaps)
+        gaps += shift
+        weights *= sigma_weight(spec, gaps)
     index = np.arange(len(pos))[rows]
     weights[np.arange(len(index)), index] = 0.0
     return weights

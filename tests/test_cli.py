@@ -623,6 +623,18 @@ class TestCliRun:
             _run_cli("run", "--config", path, "--out", str(out))
         assert not out.exists()
 
+    def test_stale_work_directory_is_named_and_kept(self, tmp_path, capsys):
+        stale = tmp_path / ".boltzgas-killed"
+        stale.mkdir()
+        (stale / "trajectory_0000.csv").write_text("t\n0.0\n")
+        path = _write(tmp_path, _base_config())
+        out = tmp_path / "out"
+        assert _run_cli("run", "--config", path, "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert str(stale) in err and "not removed" in err
+        assert (stale / "trajectory_0000.csv").read_text() == "t\n0.0\n"
+        assert (out / "manifest.json").exists()
+
     def test_target_directory_appears_only_when_complete(
         self, tmp_path, monkeypatch
     ):

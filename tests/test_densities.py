@@ -21,6 +21,7 @@ from boltzgas.densities import (
     maxwell_abs_moment,
     pair_blocks,
     pair_kernel,
+    pair_sq_distances,
 )
 from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
 from boltzgas.quadrature import gauss_hermite_3d
@@ -374,11 +375,17 @@ class TestStationaryMoments:
             scan = scanned_sup(model, p, 2.0, 2049)
             assert bound == 1.5**-3 * scan * (1.0 + 1e-9)
 
-    def test_bkw_keeps_its_scan(self):
-        # BKW's E|V|^2 is conserved but computed with t-dependent roundoff
-        model = CountingBKWMoments(side=1.0, vel_var=1.0, c0=0.3)
-        model.speed_sq_bound(1.0)
-        assert model.moment_calls == 257
+    def test_bkw_speed_sq_bound_is_its_conserved_energy(self):
+        # E|V|^2 = 3 s at every time, so the bound reads no moment; its
+        # fourth moment relaxes, so moment_bound still scans the horizon
+        model = CountingBKWMoments(side=1.0, vel_var=0.8, c0=0.3)
+        bound = model.speed_sq_bound(1.0)
+        assert model.moment_calls == 0
+        assert bound == 3.0 * 0.8 * (1.0 + 1e-9)
+        assert bound > scanned_sup(model, 2, 1.0, 257)
+        model.moment_calls = 0
+        model.moment_bound(4, 1.0)
+        assert model.moment_calls == 2049
 
 
 class TestMomentOracle:
@@ -486,6 +493,24 @@ class TestMollifiedEmpiricalModel:
         far = model.evaluate(0.0, np.array([[1.0, 1.0, 1.0]]), np.zeros((1, 3)))
         assert near[0] > far[0]
 
+    @pytest.mark.parametrize("side", [None, 2.0])
+    def test_conditional_is_joint_over_marginal_bitwise(self, side):
+        rng = stream(16, 0)
+        xs, vs = BoxMaxwellianModel(2.0, 1.0).sample_state(0.0, rng, 120)
+        model = MollifiedEmpiricalModel(xs, vs, h_x=0.2, h_v=0.5, side=side)
+        x = 2.0 * rng.random((400, 3))
+        v = model.sample_velocity(0.0, rng, 400)
+        # far rows where the marginal underflows to zero
+        v[::50] = 60.0
+        base = densities.DensityModel.conditional
+        cond = model.conditional(0.0, x, v)
+        assert np.count_nonzero(cond == 0.0) >= 8
+        assert np.array_equal(cond, base(model, 0.0, x, v))
+        for xq, vq in [(x[0], v[1]), (x[:9], v[2]), (x[3], v[:5])]:
+            assert np.array_equal(
+                model.conditional(0.0, xq, vq), base(model, 0.0, xq, vq)
+            )
+
     def test_rows_do_not_depend_on_blocking(self, monkeypatch):
         model = self.make_model(n=300)
         rng = stream(13, 0)
@@ -551,6 +576,26 @@ class TestPairKernel:
         assert_allclose(
             k_ab, norm * np.exp(-np.sum(d_ab**2, axis=2) / 0.6), rtol=1e-14
         )
+
+    @pytest.mark.parametrize("side", [None, 3.0])
+    @pytest.mark.parametrize("n_rows", [1, 7, 300])
+    def test_planes_match_last_axis_formulas_bitwise(self, n_rows, side):
+        rng = stream(15, n_rows)
+        x = rng.uniform(-5.0, 5.0, (n_rows, 3))
+        centers = rng.uniform(-5.0, 5.0, (40, 3))
+        delta = x[:, None, :] - centers[None, :, :]
+        if side is not None:
+            delta -= side * np.round(delta / side)
+        sq = np.sum(delta * delta, axis=-1)
+        kern = (2.0 * math.pi * 0.3) ** -1.5 * np.exp(-0.5 * sq / 0.3)
+        planes, got_sq = pair_sq_distances(x, centers, side)
+        got_delta, got_kern = pair_kernel(x, centers, 0.3, side)
+        assert planes.shape == (3, n_rows, 40)
+        assert np.array_equal(planes.transpose(1, 2, 0), delta)
+        assert np.array_equal(got_sq, sq)
+        assert np.array_equal(np.sqrt(got_sq), np.linalg.norm(delta, axis=2))
+        assert np.array_equal(got_delta, delta)
+        assert np.array_equal(got_kern, kern)
 
     def test_blocks_cover_the_rows_in_order_within_the_budget(self):
         for n_rows, n_cols in [(0, 4), (9, 1), (5, 900_000), (3, 5_000_000)]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from boltzgas import densities, diagnostics, engine, kernels, particles
 from boltzgas.diagnostics import (
@@ -466,6 +467,24 @@ class TestEntropy:
         v = rng.normal(0.0, 1.0, size=(200, 3))
         rep = relative_entropy_kde(v, reference_variance=1.0, bandwidth=0.4)
         assert rep.bandwidth == 0.4
+
+    def test_blocked_planes_match_direct_reference(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        v = rng.normal(0.0, 1.2, size=(50, 3))
+        # twelve rows of 50 per block: the estimate spans five blocks
+        monkeypatch.setattr(densities, "_PAIR_BUDGET", 600)
+        rep = relative_entropy_kde(v, reference_variance=1.0)
+        h = rep.bandwidth
+        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+        expo = -0.5 * d2 / (h * h)
+        np.fill_diagonal(expo, -np.inf)
+        log_kde = logsumexp(expo, axis=1) - (
+            math.log(49) + 1.5 * math.log(2.0 * math.pi * h * h)
+        )
+        log_ref = -0.5 * np.sum(v * v, axis=1) - 1.5 * math.log(2.0 * math.pi)
+        terms = log_kde - log_ref
+        assert rep.value == float(np.mean(terms))
+        assert rep.stderr == float(np.std(terms, ddof=1) / math.sqrt(50))
 
     def test_input_validation(self):
         v = np.zeros((5, 3))

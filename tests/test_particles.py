@@ -336,6 +336,27 @@ class TestPartnerLaw:
         assert np.all(np.abs(observed - expected) < 4.0 * se)
 
 
+class TestPairWeights:
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_planes_match_last_axis_formulas_bitwise(self, gamma):
+        ens = small_ensemble(seed=21, n=60)
+        pos, vel, h_x = ens.positions, ens.velocities, ens.h_x
+        spec = kernels.KernelSpec(gamma=gamma, c=2.0, angular=kernels.HARD_SPHERE)
+        for rows in (slice(0, 60), slice(10, 25), np.array([59, 0, 17, 3])):
+            delta = pos[rows, np.newaxis] - pos[np.newaxis]
+            delta -= np.round(delta)
+            kern = (2.0 * math.pi * h_x**2) ** -1.5 * np.exp(
+                -0.5 * np.sum(delta * delta, axis=-1) / h_x**2
+            )
+            gaps = np.linalg.norm(vel[rows, np.newaxis] - vel[np.newaxis], axis=2)
+            index = np.arange(60)[rows]
+            for shift in (0.0, 0.4):
+                want = kern * kernels.sigma_weight(spec, gaps + shift)
+                want[np.arange(len(index)), index] = 0.0
+                got = particles._pair_weights(pos, vel, rows, h_x, 1.0, spec, shift)
+                assert np.array_equal(got, want)
+
+
 class TestEvolveEnsemble:
     def test_snapshots_at_marks(self):
         ens = small_ensemble(seed=8, n=30)
