@@ -30,7 +30,7 @@ from .densities import (
     pair_blocks,
     pair_sq_distances,
 )
-from .geometry import deflection_alpha
+from .geometry import orthonormal_frame
 from .kernels import angular_weighted_mass
 from .quadrature import gauss_hermite_3d, gauss_legendre, radial_gaussian_moment
 
@@ -111,58 +111,6 @@ class TestFunction:
         )
 
 
-class Constant(TestFunction):
-    """``psi = level``; annihilated by both transport and collisions."""
-
-    kind = "constant"
-
-    def __init__(self, level=1.0):
-        self.level = float(level)
-        self.quad_matrix = np.zeros((3, 3))
-        self.lin_vector = np.zeros(3)
-
-    def value(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return np.full(z.shape[0], self.level)
-
-
-class LinearMomentum(TestFunction):
-    """``psi = b . z``, the momentum component along ``b``."""
-
-    kind = "linear_momentum"
-
-    def __init__(self, direction):
-        b = np.asarray(direction, dtype=np.float64).reshape(3)
-        self.quad_matrix = np.zeros((3, 3))
-        self.lin_vector = b.copy()
-
-    def value(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return z @ self.lin_vector
-
-    def grad_z(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return np.broadcast_to(self.lin_vector, z.shape).copy()
-
-
-class Energy(TestFunction):
-    """``psi = |z|^2``, twice the kinetic energy per unit mass."""
-
-    kind = "energy"
-
-    def __init__(self):
-        self.quad_matrix = np.eye(3)
-        self.lin_vector = np.zeros(3)
-
-    def value(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return np.sum(z * z, axis=1)
-
-    def grad_z(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return 2.0 * z
-
-
 class Quadratic(TestFunction):
     """General velocity quadratic ``z^T A z + b . z + offset``.
 
@@ -189,6 +137,33 @@ class Quadratic(TestFunction):
     def grad_z(self, x, z):
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         return 2.0 * z @ self.quad_matrix + self.lin_vector
+
+
+class Constant(Quadratic):
+    """``psi = level``; annihilated by both transport and collisions."""
+
+    kind = "constant"
+
+    def __init__(self, level=1.0):
+        Quadratic.__init__(self, np.zeros((3, 3)), offset=level)
+
+
+class LinearMomentum(Quadratic):
+    """``psi = b . z``, the momentum component along ``b``."""
+
+    kind = "linear_momentum"
+
+    def __init__(self, direction):
+        Quadratic.__init__(self, np.zeros((3, 3)), direction)
+
+
+class Energy(Quadratic):
+    """``psi = |z|^2``, twice the kinetic energy per unit mass."""
+
+    kind = "energy"
+
+    def __init__(self):
+        Quadratic.__init__(self, np.eye(3))
 
 
 class CompactBump(TestFunction):
@@ -654,6 +629,8 @@ def collision_symmetry_gap(
     two speeds and the enclosed angle, leaving a four-dimensional
     product rule; the azimuth is integrated with the periodic
     trapezoidal rule, exact to spectral accuracy for the smooth bump.
+    The post-collision speeds are closed forms in the azimuth, read off
+    one frame of the relative velocity per pair.
     """
     r1, r2, r3, r4 = (float(r) for r in radii)
     # The incoming-pair domain must cover the supports of both argument
@@ -664,41 +641,46 @@ def collision_symmetry_gap(
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = 2.0 * math.pi / n_phi
 
-    ra_g, rb_g = np.meshgrid(ra, rb, indexing="ij")
+    ra_g, rb_g = (g.ravel() for g in np.meshgrid(ra, rb, indexing="ij"))
     base_w = (
         (wa * 4.0 * math.pi * ra * ra)[:, None]
         * (wb * 2.0 * math.pi * rb * rb)[None, :]
-    )
-    bump_a = smooth_bump(ra_g.ravel() / r1)
-    bump_b = smooth_bump(rb_g.ravel() / r2)
+    ).ravel() * wphi
+    pre = smooth_bump(ra_g / r1) * smooth_bump(rb_g / r2)
+    swap_pre = smooth_bump(ra_g / r3) * smooth_bump(rb_g / r4)
 
+    s_sq = math.sin(0.5 * theta) ** 2
+    cos_phi = math.sin(theta) * np.cos(phi)
+    sin_phi = math.sin(theta) * np.sin(phi)
+
+    def post_speed(u, w, frame, sign):
+        # |u + sign alpha|^2 = |u|^2 + s^2 (sign 2 u.w + |w|^2)
+        #     + sign sin(theta) (u.I cos(phi) + u.J sin(phi)),  s = sin(theta/2):
+        # per-pair dot products broadcast over the azimuth
+        flat = np.sum(u * u, axis=1) + s_sq * np.sum((sign * 2.0 * u + w) * w, axis=1)
+        ui = sign * np.sum(u * frame.i_axis, axis=1)
+        uj = sign * np.sum(u * frame.j_axis, axis=1)
+        sq = flat[:, None] + ui[:, None] * cos_phi + uj[:, None] * sin_phi
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    a = np.zeros((ra_g.size, 3))
+    a[:, 2] = ra_g
     lhs = 0.0
     rhs = 0.0
-    n_pairs = ra_g.size
-    phi_rep = np.tile(phi, n_pairs)
     for k in range(n_angle):
         c, s = math.cos(chi[k]), math.sin(chi[k])
-        a = np.zeros((n_pairs, 3))
-        a[:, 2] = ra_g.ravel()
-        b = np.empty((n_pairs, 3))
-        b[:, 0] = rb_g.ravel() * s
-        b[:, 1] = 0.0
-        b[:, 2] = rb_g.ravel() * c
-        a_rep = np.repeat(a, n_phi, axis=0)
-        b_rep = np.repeat(b, n_phi, axis=0)
-        alpha = deflection_alpha(a_rep, b_rep, theta, phi_rep)
-        post_a = np.linalg.norm(a_rep + alpha, axis=1)
-        post_b = np.linalg.norm(b_rep - alpha, axis=1)
-        pre_term = np.repeat(bump_a * bump_b, n_phi)
+        b = np.zeros((ra_g.size, 3))
+        b[:, 0] = rb_g * s
+        b[:, 2] = rb_g * c
+        w = b - a
+        frame = orthonormal_frame(w)
+        post_a = post_speed(a, w, frame, 1.0)
+        post_b = post_speed(b, w, frame, -1.0)
         post_term = smooth_bump(post_a / r3) * smooth_bump(post_b / r4)
-        swap_pre = np.repeat(
-            smooth_bump(ra_g.ravel() / r3) * smooth_bump(rb_g.ravel() / r4),
-            n_phi,
-        )
         swap_post = smooth_bump(post_a / r1) * smooth_bump(post_b / r2)
-        w_rows = np.repeat(base_w.ravel() * (wchi[k] * s), n_phi) * wphi
-        lhs += float(np.sum(w_rows * pre_term * post_term))
-        rhs += float(np.sum(w_rows * swap_post * swap_pre))
+        w_pair = base_w * (wchi[k] * s)
+        lhs += float(np.dot(w_pair * pre, post_term.sum(axis=1)))
+        rhs += float(np.dot(w_pair * swap_pre, swap_post.sum(axis=1)))
     return ResidualReport(
         operation="collision_symmetry",
         lhs=lhs,

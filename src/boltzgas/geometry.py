@@ -170,49 +170,6 @@ def post_collision(z, v, theta, phi):
     return z + alpha, v - alpha
 
 
-def _rotation_between(a_hat, b_hat, fallback_axis):
-    """Rotation matrices taking unit vectors ``a_hat`` onto ``b_hat``.
-
-    Uses the minimal (geodesic) rotation via the Rodrigues formula.  For
-    antiparallel pairs the rotation axis is ill-defined; ``fallback_axis``
-    (unit, orthogonal to ``a_hat``) breaks the tie with a half-turn.
-    """
-    n = a_hat.shape[0]
-    c = np.einsum("ij,ij->i", a_hat, b_hat)
-    axis = _cross(a_hat, b_hat)
-    s = np.linalg.norm(axis, axis=1)
-
-    rot = np.empty((n, 3, 3))
-    # Generic case: Rodrigues with axis = a x b, angle where cos = c, sin = s.
-    generic = s > 1e-12
-    if np.any(generic):
-        k = axis[generic] / s[generic, np.newaxis]
-        kx, ky, kz = k[:, 0], k[:, 1], k[:, 2]
-        zeros = np.zeros_like(kx)
-        cross_k = np.stack(
-            [
-                np.stack([zeros, -kz, ky], axis=-1),
-                np.stack([kz, zeros, -kx], axis=-1),
-                np.stack([-ky, kx, zeros], axis=-1),
-            ],
-            axis=-2,
-        )
-        cg = c[generic, np.newaxis, np.newaxis]
-        sg = s[generic, np.newaxis, np.newaxis]
-        kkt = k[:, :, np.newaxis] * k[:, np.newaxis, :]
-        rot[generic] = cg * np.eye(3) + sg * cross_k + (1.0 - cg) * kkt
-
-    aligned = (~generic) & (c > 0.0)
-    rot[aligned] = np.eye(3)
-
-    anti = (~generic) & (c <= 0.0)
-    if np.any(anti):
-        # Half-turn about the fallback axis.
-        u = fallback_axis[anti]
-        rot[anti] = 2.0 * u[:, :, np.newaxis] * u[:, np.newaxis, :] - np.eye(3)
-    return rot
-
-
 def tanaka_rotation(z, v, z2, v2):
     """Azimuth offset aligning the frames of two relative velocities.
 
@@ -222,9 +179,12 @@ def tanaka_rotation(z, v, z2, v2):
             <= 3 |(v - z) - (v2 - z2)|.
 
     The construction rotates the frame of ``w = v - z`` onto the frame of
-    ``w2 = v2 - z2`` by the minimal rotation taking ``w/|w|`` to
-    ``w2/|w2|`` and reads off the in-plane angle between the transported
-    ``I`` axis and the canonical frame of ``w2``.
+    ``w2 = v2 - z2`` by the minimal rotation taking ``a = w/|w|`` to
+    ``b = w2/|w2|`` and reads off the in-plane angle between the
+    transported ``I`` axis and the canonical frame of ``w2``.  On the unit
+    axis ``i`` of ``w`` that rotation is the closed form
+    ``i - (i.b) / (1 + a.b) (a + b)``; an exactly antiparallel pair takes
+    the half turn about ``i``, which leaves ``i`` in place.
 
     Degenerate inputs (either relative velocity zero) return ``0.0``.
 
@@ -252,17 +212,23 @@ def tanaka_rotation(z, v, z2, v2):
     phi0 = np.zeros(ok.shape)
     if np.any(ok):
         w, w2, n1, n2 = w[ok], w2[ok], n1[ok], n2[ok]
-        frame_a = orthonormal_frame(w)
         frame_b = orthonormal_frame(w2)
-        ia = frame_a.i_axis / n1
+        a, b = w / n1, w2 / n2
+        ia = orthonormal_frame(w).i_axis / n1
         ib = frame_b.i_axis / n2
         jb = frame_b.j_axis / n2
-        rot = _rotation_between(w / n1, w2 / n2, ia)
-        ia_rot = np.einsum("nij,nj->ni", rot, ia)
-        ang = np.arctan2(
-            np.einsum("ij,ij->i", ia_rot, jb),
-            np.einsum("ij,ij->i", ia_rot, ib),
+        # 1 + c cancels near c = -1, where |a x b|^2 / (1 - c) keeps its
+        # digits; the divisor 1 - c = 1 + |c| there is never below one
+        c = np.sum(a * b, axis=-1)
+        cross_sq = np.sum(_cross(a, b) ** 2, axis=-1)
+        one_plus_c = np.where(c > 0.0, 1.0 + c, cross_sq / (1.0 + np.abs(c)))
+        # 1 + c is zero only for an exactly antiparallel pair, which keeps ia
+        shift = np.divide(
+            np.sum(ia * b, axis=-1), one_plus_c,
+            out=np.zeros_like(c), where=one_plus_c > 0.0,
         )
+        ia_rot = ia - shift[:, np.newaxis] * (a + b)
+        ang = np.arctan2(np.sum(ia_rot * jb, axis=-1), np.sum(ia_rot * ib, axis=-1))
         wrapped = np.mod(ang, 2.0 * np.pi)
         # a negative angle within rounding of zero folds to 2*pi itself,
         # which sits outside the half-open range contract

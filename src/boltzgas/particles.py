@@ -233,8 +233,8 @@ def step_ensemble(ens, spec, dt, rng):
     """Advance the ensemble by ``dt`` and return the new state.
 
     The window is subdivided so every particle's candidate probability
-    per sub-window stays at or below 0.1, using the position-free rate
-    envelope with the spatial kernel at its peak.
+    per sub-window stays at or below 0.1: each sub-window is capped by
+    the largest actual rate on the frozen snapshot at its start.
     """
     if spec.gamma < 0.0:
         raise ValueError("soft potentials admit no candidate envelope")

@@ -408,7 +408,57 @@ class TestWeakResidual:
             weak_residual(box_ensemble, bkw, MAXWELL_KERNEL, Energy())
 
 
+def _symmetry_sides_oracle(theta, radii, n_radial, n_angle, n_phi):
+    """Both sides of the symmetry integral through ``deflection_alpha``.
+
+    Repeats every incoming pair ``n_phi`` times, sends the rows through
+    the general deflection map and takes the post-collision speeds as
+    norms: the same quadrature rule as ``collision_symmetry_gap``
+    without its closed forms in the azimuth.
+    """
+    r1, r2, r3, r4 = radii
+    ra, wa = gauss_legendre(n_radial, 0.0, max(r1, r3))
+    rb, wb = gauss_legendre(n_radial, 0.0, max(r2, r4))
+    chi, wchi = gauss_legendre(n_angle, 0.0, math.pi)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    ra_g, rb_g = (g.ravel() for g in np.meshgrid(ra, rb, indexing="ij"))
+    base_w = np.outer(wa * 4.0 * math.pi * ra**2, wb * 2.0 * math.pi * rb**2)
+    base_w = base_w.ravel()
+    pre = np.repeat(smooth_bump(ra_g / r1) * smooth_bump(rb_g / r2), n_phi)
+    swap_pre = np.repeat(smooth_bump(ra_g / r3) * smooth_bump(rb_g / r4), n_phi)
+    a = np.zeros((ra_g.size, 3))
+    a[:, 2] = ra_g
+    lhs = rhs = 0.0
+    for k in range(n_angle):
+        c, s = math.cos(chi[k]), math.sin(chi[k])
+        b = np.zeros((ra_g.size, 3))
+        b[:, 0] = rb_g * s
+        b[:, 2] = rb_g * c
+        a_rep = np.repeat(a, n_phi, axis=0)
+        b_rep = np.repeat(b, n_phi, axis=0)
+        alpha = deflection_alpha(a_rep, b_rep, theta, np.tile(phi, ra_g.size))
+        post_a = np.linalg.norm(a_rep + alpha, axis=1)
+        post_b = np.linalg.norm(b_rep - alpha, axis=1)
+        w_rows = np.repeat(base_w * wchi[k] * s, n_phi) * 2.0 * math.pi / n_phi
+        lhs += np.sum(
+            w_rows * pre * smooth_bump(post_a / r3) * smooth_bump(post_b / r4)
+        )
+        rhs += np.sum(
+            w_rows * swap_pre * smooth_bump(post_a / r1) * smooth_bump(post_b / r2)
+        )
+    return lhs, rhs
+
+
 class TestCollisionSymmetry:
+    @pytest.mark.parametrize("theta", [0.05, 0.7, 2.2, math.pi])
+    def test_closed_forms_match_deflection_oracle(self, theta):
+        radii = (0.9, 1.6, 1.1, 1.9)
+        rep = collision_symmetry_gap(theta, radii, n_radial=16, n_angle=8, n_phi=8)
+        lhs, rhs = _symmetry_sides_oracle(theta, radii, 16, 8, 8)
+        assert rep.lhs > 0.1
+        assert rep.lhs == pytest.approx(lhs, rel=1e-13)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-13)
+
     def test_pre_post_change_of_variables(self):
         rep = collision_symmetry_gap(
             1.1, n_radial=96, n_angle=48, n_phi=48, tolerance=1e-7

@@ -17,6 +17,50 @@ def random_vectors(rng, n, scale=3.0):
     return scale * rng.standard_normal((n, 3))
 
 
+def rodrigues_rotation(w, w2):
+    """Oracle for ``tanaka_rotation`` on nonzero rows: the full 3x3 matrix.
+
+    Builds the minimal rotation taking ``w/|w|`` onto ``w2/|w2|`` by the
+    Rodrigues formula, or the half turn about the unit I-axis of ``w``
+    when the pair is within 1e-12 of antiparallel, applies it to that
+    axis and reads the angle off the frame of ``w2``.
+    """
+    n1 = np.linalg.norm(w, axis=1, keepdims=True)
+    n2 = np.linalg.norm(w2, axis=1, keepdims=True)
+    a_hat, b_hat = w / n1, w2 / n2
+    ia = orthonormal_frame(w).i_axis / n1
+    frame_b = orthonormal_frame(w2)
+    c = np.einsum("ij,ij->i", a_hat, b_hat)
+    axis = np.cross(a_hat, b_hat)
+    s = np.linalg.norm(axis, axis=1)
+    rot = np.empty((len(w), 3, 3))
+    generic = s > 1e-12
+    k = axis[generic] / s[generic, np.newaxis]
+    cross_k = np.zeros((len(k), 3, 3))
+    cross_k[:, 0, 1], cross_k[:, 0, 2] = -k[:, 2], k[:, 1]
+    cross_k[:, 1, 0], cross_k[:, 1, 2] = k[:, 2], -k[:, 0]
+    cross_k[:, 2, 0], cross_k[:, 2, 1] = -k[:, 1], k[:, 0]
+    cg = c[generic, np.newaxis, np.newaxis]
+    sg = s[generic, np.newaxis, np.newaxis]
+    kkt = k[:, :, np.newaxis] * k[:, np.newaxis, :]
+    rot[generic] = cg * np.eye(3) + sg * cross_k + (1.0 - cg) * kkt
+    rot[~generic & (c > 0.0)] = np.eye(3)
+    anti = ~generic & (c <= 0.0)
+    u = ia[anti]
+    rot[anti] = 2.0 * u[:, :, np.newaxis] * u[:, np.newaxis, :] - np.eye(3)
+    ia_rot = np.einsum("nij,nj->ni", rot, ia)
+    ang = np.arctan2(
+        np.einsum("ij,ij->i", ia_rot, frame_b.j_axis / n2),
+        np.einsum("ij,ij->i", ia_rot, frame_b.i_axis / n2),
+    )
+    return np.mod(ang, 2.0 * np.pi)
+
+
+def angle_gap(phi, psi):
+    """Distance between angles on the circle."""
+    return np.abs(np.mod(phi - psi + np.pi, 2.0 * np.pi) - np.pi)
+
+
 class TestOrthonormalFrame:
     def test_unit_x_axis(self):
         frame = orthonormal_frame(np.array([1.0, 0.0, 0.0]))
@@ -206,6 +250,52 @@ class TestTanakaRotation:
         v = np.zeros((3, 3))
         phi0 = tanaka_rotation(z, v, z, v)
         assert_allclose(phi0, 0.0, atol=0.0)
+
+    def test_matches_rodrigues_matrix_oracle(self):
+        rng = np.random.default_rng(46)
+        w = random_vectors(rng, 4000)
+        w2 = np.concatenate([
+            random_vectors(rng, 2000),
+            w[2000:3000] + 1e-7 * rng.standard_normal((1000, 3)),
+            w[3000:] + 0.3 * rng.standard_normal((1000, 3)),
+        ])
+        cos = np.sum(w * w2, axis=1) / (
+            np.linalg.norm(w, axis=1) * np.linalg.norm(w2, axis=1)
+        )
+        keep = cos > -0.99
+        phi0 = tanaka_rotation(np.zeros_like(w), w, np.zeros_like(w2), w2)
+        gap = angle_gap(phi0[keep], rodrigues_rotation(w[keep], w2[keep]))
+        assert keep.sum() > 3900
+        assert gap.max() <= 1e-12
+
+    def test_exactly_antiparallel_pair_takes_the_half_turn(self):
+        rng = np.random.default_rng(47)
+        w = random_vectors(rng, 50)
+        phi0 = tanaka_rotation(np.zeros_like(w), w, np.zeros_like(w), -w)
+        assert np.array_equal(phi0, rodrigues_rotation(w, -w))
+        assert_allclose(phi0, np.pi, atol=1e-15)
+
+    def test_special_pairs_raise_no_floating_point_error(self):
+        rng = np.random.default_rng(48)
+        w = random_vectors(rng, 12)
+        w[0] = [0.0, 0.0, 2.0]
+        w[1] = [1.0, 1.0, 0.0]
+        pairs = {
+            "aligned": 2.5 * w,
+            "identical": w.copy(),
+            "antiparallel": -w,
+            "scaled antiparallel": -0.4 * w,
+            "near antiparallel": -w + 1e-9 * rng.standard_normal(w.shape),
+        }
+        with np.errstate(all="raise"):
+            for name, w2 in pairs.items():
+                phi0 = tanaka_rotation(np.zeros_like(w), w, np.zeros_like(w2), w2)
+                assert np.all((phi0 >= 0.0) & (phi0 < 2.0 * np.pi)), name
+            zero = np.zeros_like(w)
+            assert np.array_equal(tanaka_rotation(zero, zero, zero, w), np.zeros(12))
+            assert np.array_equal(tanaka_rotation(zero, w, zero, zero), np.zeros(12))
+        for name, w2 in pairs.items():
+            assert self.bound_holds(w, w2) <= 1e-10, name
 
     def test_range(self):
         rng = np.random.default_rng(45)
