@@ -21,14 +21,31 @@ particle collides at the same frequency in both modes.
 
 Time is advanced in windows short enough that every per-particle
 candidate probability stays at or below 0.1; a window free-streams
-first and then draws candidates.  Candidate draws come from the state
-at the window start, while acceptance and the kick itself are applied
-sequentially in ascending particle order on the current velocities,
-so simultaneous candidates never break conservation.  The windowed
-Bernoulli draw makes the scheme first order in the window length,
-which is the standard trade for interacting ensembles: the empirical
-density moves at every collision, so the exact event-driven majorant
-of the single-particle engine would have to be rebuilt constantly.
+first and then draws candidates.  The windowed Bernoulli draw makes
+the scheme first order in the window length, which is the standard
+trade for interacting ensembles: the empirical density moves at every
+collision, so the exact event-driven majorant of the single-particle
+engine would have to be rebuilt constantly.
+
+The fired particles of a window are handled as one array pass per
+block of rows, and the result is the one of a loop that takes them one
+at a time in ascending order.  Candidates come from the frozen state
+at the window start, so only the stream order ties the rows together.
+Rows of zero total draw nothing.  In the symmetric mode every row
+takes exactly four uniforms (partner, polar angle, azimuth,
+acceptance), so one ``(rows, 4)`` draw returns the loop's numbers; the
+one-sided mode's partner shift ``xi`` takes a random number of normal
+and gamma variates, so it draws row by row.  Envelopes, intensities,
+the envelope check and the acceptance are then array operations.  The
+kicks act on the current velocities, so that same-window recollisions
+conserve momentum and energy exactly; they are applied in waves, each
+event one wave after the last earlier event that shares a particle
+with it.  Events of one wave touch disjoint particles, and every event
+sees the velocities its predecessors left, which is the sequential
+write-back.  One-sided events kick distinct particles against frozen
+partners and form a single wave.  One rounding differs from the loop:
+symmetric power-law angles come from one array call, and numpy's array
+power can differ from its scalar power in the last bit.
 
 Candidate selection is exact thinning within the window: partners are
 proposed with probability proportional to ``K(x_i - x_j) w_ij`` and
@@ -47,7 +64,7 @@ relative speed and admits no candidate envelope of this form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +100,8 @@ __all__ = [
 ONE_SIDED = "one_sided"
 SYMMETRIC_PAIR = "symmetric_pair"
 _MAX_WINDOW_PROBABILITY = 0.1
+# mean length of the standard normal mollifier shift xi, E|xi|
+_XI_MEAN = maxwell_abs_moment(1.0, 1)
 
 
 @dataclass
@@ -126,15 +145,18 @@ class ParticleEnsemble:
         return len(self.positions)
 
     def copy(self):
-        return ParticleEnsemble(
-            positions=self.positions.copy(),
+        """An independent copy, without the checks of construction.
+
+        Positions are folded into the box again, as construction folds
+        them, so a coordinate that rounded up to ``side`` comes back as 0.
+        """
+        dup = object.__new__(type(self))
+        dup.__dict__.update(
+            self.__dict__,
+            positions=wrap_position(self.positions, self.side),
             velocities=self.velocities.copy(),
-            h_x=self.h_x,
-            h_v=self.h_v,
-            side=self.side,
-            mode=self.mode,
-            time=self.time,
         )
+        return dup
 
     def momentum(self):
         """Total momentum ``sum_i v_i``."""
@@ -229,6 +251,120 @@ def _sample_xi(rng, plain_weight, tilt_weight):
     return radius * direction
 
 
+def _norms(vectors):
+    """Lengths of 3-vector rows, each bit-equal to ``np.linalg.norm(row)``.
+
+    ``np.linalg.norm`` of a single vector takes a BLAS dot product, whose
+    rounding differs from a last-axis sum of squares; ``np.vecdot`` calls
+    the same dot per row.
+    """
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def _one_sided_draws(rng, spec, vel, fired, cums, totals, h_v):
+    """Per-row draws of the one-sided mode, in the order of the stream.
+
+    ``xi`` takes a random number of normal and gamma variates, so each
+    row draws in turn: partner, ``xi``, angle, azimuth, acceptance.
+    """
+    k = len(fired)
+    uniforms = np.empty((k, 4))
+    partners = np.empty(k, dtype=np.intp)
+    xis = np.empty((k, 3))
+    thetas = np.empty(k)
+    for r, i in enumerate(fired):
+        uniforms[r, 0] = rng.random()
+        j = partners[r] = np.searchsorted(cums[r], uniforms[r, 0] * totals[r])
+        if spec.gamma == 0.0:
+            xis[r] = rng.normal(size=3)
+        else:
+            # the envelope c W(gap + h_v |xi|) is affine in |xi|; drawing
+            # xi in proportion to it makes its mean the pair weight
+            # W(gap + h_v E|xi|)
+            gap = float(np.linalg.norm(vel[j] - vel[i]))
+            xis[r] = _sample_xi(rng, sigma_weight(spec, gap), h_v * _XI_MEAN)
+        uniforms[r, 1:] = rng.random(3)
+        # a scalar call: the array power can differ in the last bit
+        thetas[r] = sample_theta(spec, uniforms[r, 1])
+    return partners, xis, thetas, uniforms
+
+
+def _waves(i, j):
+    """Split pair events into waves that share no particle.
+
+    Events keep their order; each goes one wave after the last earlier
+    event that shares a particle with it, so applying the waves in turn
+    reproduces the one-by-one write-back.
+    """
+    pairs = list(zip(i.tolist(), j.tolist()))
+    if len({p for pair in pairs for p in pair}) == 2 * len(pairs):
+        return [slice(None)]
+    last = {}
+    wave = []
+    for a, b in pairs:
+        w = max(last.get(a, -1), last.get(b, -1)) + 1
+        last[a] = last[b] = w
+        wave.append(w)
+    wave = np.array(wave)
+    return [np.nonzero(wave == w)[0] for w in range(wave.max() + 1)]
+
+
+def _fire(out, spec, rng, vel, fired, rows):
+    """Draw, thin and apply the candidates of one block of fired particles.
+
+    ``rows`` are the fired particles' pair weights on the frozen
+    velocities ``vel``; rows of zero total draw nothing.
+    """
+    totals = rows.sum(axis=1)
+    live = totals > 0.0
+    if not live.all():
+        fired, rows, totals = fired[live], rows[live], totals[live]
+    if len(fired) == 0:
+        return
+    cums = np.cumsum(rows, axis=1)
+    if out.mode == SYMMETRIC_PAIR:
+        # four uniforms per row: partner, angle, azimuth, acceptance
+        uniforms = rng.random((len(fired), 4))
+        # the count of cumulative weights below u * total is the
+        # left-side searchsorted of the loop
+        partners = np.count_nonzero(
+            cums < (uniforms[:, 0] * totals)[:, np.newaxis], axis=1
+        )
+        thetas = sample_theta(spec, uniforms[:, 1])
+    else:
+        partners, xis, thetas, uniforms = _one_sided_draws(
+            rng, spec, vel, fired, cums, totals, out.h_v
+        )
+    v_fired, v_cand = vel[fired], vel[partners]
+    speed = rel_speed = _norms(v_cand - v_fired)
+    if out.mode == ONE_SIDED:
+        v_cand = v_cand + out.h_v * xis
+        speed = speed + out.h_v * _norms(xis)
+        rel_speed = _norms(v_cand - v_fired)
+    envelope = spec.c * sigma_weight(spec, speed)
+    intensity = sigma(spec, rel_speed)
+    # the ensemble draws at no truncation level
+    check_envelope(intensity, envelope, out.time, None)
+    accept = uniforms[:, 3] * envelope < intensity
+    if not accept.any():
+        return
+    i, j = fired[accept], partners[accept]
+    thetas, phis = thetas[accept], 2.0 * math.pi * uniforms[accept, 2]
+    if out.mode == ONE_SIDED:
+        # distinct particles against frozen partners: one wave
+        out.velocities[i] += deflection_alpha(
+            out.velocities[i], v_cand[accept], thetas, phis
+        )
+        return
+    for wave in _waves(i, j):
+        a, b = i[wave], j[wave]
+        kick = deflection_alpha(
+            out.velocities[a], out.velocities[b], thetas[wave], phis[wave]
+        )
+        out.velocities[a] += kick
+        out.velocities[b] -= kick
+
+
 def step_ensemble(ens, spec, dt, rng):
     """Advance the ensemble by ``dt`` and return the new state.
 
@@ -243,17 +379,17 @@ def step_ensemble(ens, spec, dt, rng):
     out = ens.copy()
     n = out.n
     prefactor = _pair_rate(out, spec, angular_mass(spec))
-    xi_mean = maxwell_abs_moment(1.0, 1)
     # one-sided rows average W over the partner's mollifier shift h_v xi
-    shift = out.h_v * xi_mean if out.mode == ONE_SIDED else 0.0
+    shift = out.h_v * _XI_MEAN if out.mode == ONE_SIDED else 0.0
     pair = (out.h_x, out.side, spec, shift)
 
     remaining = float(dt)
     while remaining > 0.0:
-        pos_frozen = out.positions.copy()
-        vel_frozen = out.velocities.copy()
+        # the frozen snapshot of the candidate law; positions are rebound
+        # below, never written in place, so only velocities need a copy
+        pos, vel = out.positions, out.velocities.copy()
         rates = prefactor * np.concatenate([
-            _pair_weights(pos_frozen, vel_frozen, rows, *pair).sum(axis=1)
+            _pair_weights(pos, vel, rows, *pair).sum(axis=1)
             for rows in pair_blocks(n, n)
         ])
         peak = rates.max()
@@ -261,59 +397,15 @@ def step_ensemble(ens, spec, dt, rng):
             sub = remaining
         else:
             sub = min(remaining, _MAX_WINDOW_PROBABILITY / peak)
-        out.positions = wrap_position(
-            out.positions + sub * out.velocities, out.side
-        )
+        out.positions = wrap_position(pos + sub * vel, out.side)
         out.time += sub
         remaining -= sub
 
         fires = np.nonzero(rng.random(n) < rates * sub)[0]
         for block in pair_blocks(len(fires), n):
-            # candidate law entirely from the frozen snapshot
-            rows = _pair_weights(pos_frozen, vel_frozen, fires[block], *pair)
-            for i, row in zip(fires[block], rows):
-                total = row.sum()
-                if total <= 0.0:
-                    continue
-                j = int(np.searchsorted(np.cumsum(row), rng.random() * total))
-                gap = float(np.linalg.norm(vel_frozen[j] - vel_frozen[i]))
-                v_cand, speed = vel_frozen[j], gap
-                if out.mode == ONE_SIDED:
-                    if spec.gamma == 0.0:
-                        xi = rng.normal(size=3)
-                    else:
-                        # the envelope c W(gap + h_v |xi|) is affine in
-                        # |xi|; drawing xi in proportion to it makes its
-                        # mean the pair weight W(gap + h_v E|xi|)
-                        xi = _sample_xi(
-                            rng, sigma_weight(spec, gap), out.h_v * xi_mean
-                        )
-                    v_cand = v_cand + out.h_v * xi
-                    speed = gap + out.h_v * float(np.linalg.norm(xi))
-                envelope = spec.c * sigma_weight(spec, speed)
-
-                rel_speed = float(np.linalg.norm(v_cand - vel_frozen[i]))
-                intensity = sigma(spec, rel_speed)
-                # the ensemble draws at no truncation level
-                check_envelope(intensity, envelope, out.time, None)
-                theta = float(sample_theta(spec, rng.random()))
-                phi = rng.uniform(0.0, 2.0 * math.pi)
-                if rng.random() * envelope >= intensity:
-                    continue
-
-                # write-back on the current state, in ascending fire
-                # order; the pair kick uses the partners' present
-                # velocities so the elastic exchange conserves exactly
-                # even under same-window recollisions
-                kick = deflection_alpha(
-                    out.velocities[i],
-                    v_cand if out.mode == ONE_SIDED else out.velocities[j],
-                    theta,
-                    phi,
-                )
-                out.velocities[i] = out.velocities[i] + kick
-                if out.mode == SYMMETRIC_PAIR:
-                    out.velocities[j] = out.velocities[j] - kick
+            fired = fires[block]
+            rows = _pair_weights(pos, vel, fired, *pair)
+            _fire(out, spec, rng, vel, fired, rows)
     return out
 
 

@@ -7,8 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import kernels, particles
-from boltzgas.densities import MollifiedEmpiricalModel, maxwell_abs_moment
-from boltzgas.engine import EnvelopeError
+from boltzgas.densities import (
+    MollifiedEmpiricalModel,
+    maxwell_abs_moment,
+    pair_blocks,
+    wrap_position,
+)
+from boltzgas.engine import EnvelopeError, check_envelope
+from boltzgas.geometry import deflection_alpha
+from boltzgas.kernels import angular_mass, sample_theta, sigma_weight
 from boltzgas.rng import stream
 
 
@@ -18,6 +25,93 @@ LINEAR = kernels.KernelSpec(gamma=1.0, c=4.0, angular=kernels.HARD_SPHERE)
 
 def small_ensemble(seed=1, n=40, mode=particles.ONE_SIDED, **kw):
     return particles.maxwellian_ensemble(n, stream(seed, 0), mode=mode, **kw)
+
+
+def reference_step(ens, spec, dt, rng):
+    """The sequential window: one fired particle at a time.
+
+    The loop ``step_ensemble`` replaced with one array pass per block of
+    fired rows, kept as the reference its bytes are compared with.
+    """
+    if spec.gamma < 0.0:
+        raise ValueError("soft potentials admit no candidate envelope")
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be nonnegative and finite, got {dt}")
+    out = ens.copy()
+    n = out.n
+    prefactor = particles._pair_rate(out, spec, angular_mass(spec))
+    xi_mean = maxwell_abs_moment(1.0, 1)
+    # one-sided rows average W over the partner's mollifier shift h_v xi
+    shift = out.h_v * xi_mean if out.mode == particles.ONE_SIDED else 0.0
+    pair = (out.h_x, out.side, spec, shift)
+
+    remaining = float(dt)
+    while remaining > 0.0:
+        pos_frozen = out.positions.copy()
+        vel_frozen = out.velocities.copy()
+        rates = prefactor * np.concatenate([
+            particles._pair_weights(pos_frozen, vel_frozen, rows, *pair).sum(axis=1)
+            for rows in pair_blocks(n, n)
+        ])
+        peak = rates.max()
+        if peak <= 0.0:
+            sub = remaining
+        else:
+            sub = min(remaining, particles._MAX_WINDOW_PROBABILITY / peak)
+        out.positions = wrap_position(
+            out.positions + sub * out.velocities, out.side
+        )
+        out.time += sub
+        remaining -= sub
+
+        fires = np.nonzero(rng.random(n) < rates * sub)[0]
+        for block in pair_blocks(len(fires), n):
+            # candidate law entirely from the frozen snapshot
+            rows = particles._pair_weights(pos_frozen, vel_frozen, fires[block], *pair)
+            for i, row in zip(fires[block], rows):
+                total = row.sum()
+                if total <= 0.0:
+                    continue
+                j = int(np.searchsorted(np.cumsum(row), rng.random() * total))
+                gap = float(np.linalg.norm(vel_frozen[j] - vel_frozen[i]))
+                v_cand, speed = vel_frozen[j], gap
+                if out.mode == particles.ONE_SIDED:
+                    if spec.gamma == 0.0:
+                        xi = rng.normal(size=3)
+                    else:
+                        # the envelope c W(gap + h_v |xi|) is affine in
+                        # |xi|; drawing xi in proportion to it makes its
+                        # mean the pair weight W(gap + h_v E|xi|)
+                        xi = particles._sample_xi(
+                            rng, sigma_weight(spec, gap), out.h_v * xi_mean
+                        )
+                    v_cand = v_cand + out.h_v * xi
+                    speed = gap + out.h_v * float(np.linalg.norm(xi))
+                envelope = spec.c * sigma_weight(spec, speed)
+
+                rel_speed = float(np.linalg.norm(v_cand - vel_frozen[i]))
+                intensity = particles.sigma(spec, rel_speed)
+                # the ensemble draws at no truncation level
+                check_envelope(intensity, envelope, out.time, None)
+                theta = float(sample_theta(spec, rng.random()))
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                if rng.random() * envelope >= intensity:
+                    continue
+
+                # write-back on the current state, in ascending fire
+                # order; the pair kick uses the partners' present
+                # velocities so the elastic exchange conserves exactly
+                # even under same-window recollisions
+                kick = deflection_alpha(
+                    out.velocities[i],
+                    v_cand if out.mode == particles.ONE_SIDED else out.velocities[j],
+                    theta,
+                    phi,
+                )
+                out.velocities[i] = out.velocities[i] + kick
+                if out.mode == particles.SYMMETRIC_PAIR:
+                    out.velocities[j] = out.velocities[j] - kick
+    return out
 
 
 class TestEnsembleValidation:
@@ -263,6 +357,131 @@ class TestStepMechanics:
             small_ensemble(seed=7, n=30), spec, 0.2, stream(7, 1)
         )
         assert out.time > 0.0
+
+
+def assert_same_ensemble(a, b):
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.velocities.tobytes() == b.velocities.tobytes()
+    assert a.time == b.time
+
+
+def step_both(ens, spec, dt, seed, n_steps):
+    """Run ``step_ensemble`` and the reference side by side, byte for byte.
+
+    Both draw from copies of one stream, which must end in one state.
+    """
+    rng_a, rng_b = stream(seed, 1), stream(seed, 1)
+    a = b = ens
+    for _ in range(n_steps):
+        a = particles.step_ensemble(a, spec, dt, rng_a)
+        b = reference_step(b, spec, dt, rng_b)
+        assert_same_ensemble(a, b)
+    assert rng_a.random() == rng_b.random()
+    return a
+
+
+class TestBatchedWindow:
+    """One array pass per block of fired rows against the sequential loop."""
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 160])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mode", [particles.ONE_SIDED, particles.SYMMETRIC_PAIR])
+    def test_hard_sphere_matches_sequential_loop(self, mode, gamma, n):
+        spec = kernels.KernelSpec(gamma=gamma, c=2.0, angular=kernels.HARD_SPHERE)
+        ens = small_ensemble(seed=n, n=n, mode=mode)
+        out = step_both(ens, spec, 0.1, seed=n, n_steps=4)
+        assert not np.array_equal(out.velocities, ens.velocities)
+
+    @pytest.mark.parametrize("n", [3, 40, 160])
+    def test_one_sided_power_law_matches_sequential_loop(self, n):
+        spec = kernels.KernelSpec(
+            gamma=0.5, c=0.2, angular=kernels.POWER_LAW, nu=0.5, epsilon=1e-2
+        )
+        ens = small_ensemble(seed=n, n=n)
+        out = step_both(ens, spec, 0.1, seed=n, n_steps=3)
+        assert not np.array_equal(out.velocities, ens.velocities)
+
+    def test_symmetric_power_law_within_roundoff(self):
+        # the angles come from one array call, whose power rounds
+        # differently from the scalar one in the last bit; later windows
+        # stream on those velocities
+        spec = kernels.KernelSpec(
+            gamma=1.0, c=0.2, angular=kernels.POWER_LAW, nu=0.5, epsilon=1e-2
+        )
+        ens = small_ensemble(seed=5, n=80, mode=particles.SYMMETRIC_PAIR)
+        rng_a, rng_b = stream(5, 1), stream(5, 1)
+        a = particles.step_ensemble(ens, spec, 0.1, rng_a)
+        b = reference_step(ens, spec, 0.1, rng_b)
+        assert not np.array_equal(a.velocities, ens.velocities)
+        for got, want in ((a.velocities, b.velocities), (a.positions, b.positions)):
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("mode", [particles.ONE_SIDED, particles.SYMMETRIC_PAIR])
+    def test_two_rate_blocks(self, mode):
+        n = 1500
+        assert len(list(pair_blocks(n, n))) == 2
+        ens = small_ensemble(seed=15, n=n, mode=mode)
+        out = step_both(ens, LINEAR, 0.002, seed=15, n_steps=1)
+        assert not np.array_equal(out.velocities, ens.velocities)
+
+    def test_shared_particle_takes_a_second_wave(self, monkeypatch):
+        # any two pairs of three particles share one, so a window with
+        # two accepted pairs must kick them one wave after the other
+        waves = []
+        batched = particles._waves
+
+        def spy(i, j):
+            waves.append(batched(i, j))
+            return waves[-1]
+
+        monkeypatch.setattr(particles, "_waves", spy)
+        ens = particles.ParticleEnsemble(
+            positions=[[0.45, 0.5, 0.5], [0.5, 0.55, 0.5], [0.5, 0.5, 0.45]],
+            velocities=[[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.5, 1.0]],
+            h_x=0.2,
+            h_v=0.1,
+            mode=particles.SYMMETRIC_PAIR,
+        )
+        step_both(ens, LINEAR, 0.5, seed=3, n_steps=4)
+        assert max(len(w) for w in waves) >= 2
+
+    def test_fired_row_with_zero_total_draws_nothing(self, monkeypatch):
+        # a symmetric row at gamma = 1 sums to zero when the particle
+        # moves with all its neighbours, but the rate pass never fires
+        # such a row, so the fired-row pass zeroes the even particles'
+        # rows itself
+        zeroed = []
+        weights = particles._pair_weights
+
+        def patched(pos, vel, rows, *pair):
+            out = weights(pos, vel, rows, *pair)
+            if isinstance(rows, np.ndarray):
+                even = rows % 2 == 0
+                out[even] = 0.0
+                zeroed.append(np.count_nonzero(even))
+            return out
+
+        monkeypatch.setattr(particles, "_pair_weights", patched)
+        for mode in (particles.ONE_SIDED, particles.SYMMETRIC_PAIR):
+            zeroed.clear()
+            ens = small_ensemble(seed=9, n=40, mode=mode)
+            out = step_both(ens, LINEAR, 0.1, seed=9, n_steps=2)
+            assert sum(zeroed) > 0
+            assert not np.array_equal(out.velocities, ens.velocities)
+
+    @pytest.mark.parametrize("mode", [particles.ONE_SIDED, particles.SYMMETRIC_PAIR])
+    def test_violated_envelope_names_the_same_row(self, monkeypatch, mode):
+        monkeypatch.setattr(
+            particles, "sigma", lambda spec, r: 2.0 * kernels.sigma(spec, r)
+        )
+        ens = small_ensemble(seed=3, mode=mode)
+        messages = []
+        for step in (particles.step_ensemble, reference_step):
+            with pytest.raises(EnvelopeError, match="exceeds envelope") as err:
+                step(ens, LINEAR, 0.2, stream(3, 1))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 
 class TestOneSidedProposal:
