@@ -27,6 +27,7 @@ its constructor and its fields.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -217,6 +218,9 @@ def _value(value, kind, check, where):
         raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     if kind == "number":
         value = float(value)
+        # json reads NaN and Infinity, and NaN passes every comparison below
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value}")
     if check is _POSITIVE and value <= 0.0:
         raise ConfigError(f"{where}: must be positive, got {value}")
     if isinstance(check, (int, float)) and value < check:

@@ -201,14 +201,13 @@ class DensityModel(ABC):
     """Family ``f(t, x, v)`` with samplers and certified bounds.
 
     Array conventions: ``x`` and ``v`` are ``(n, 3)`` arrays (or single
-    ``(3,)`` vectors), ``t`` is a scalar.  Methods returning densities
-    give one value per row.
+    ``(3,)`` vectors), ``t`` is a scalar; :meth:`conditional` also takes
+    one time per row.  Methods returning densities give one value per
+    row.
     """
 
     #: Period of the spatial box, or None for models on all of R^3.
     box_side: float | None = None
-    #: True when the velocity marginal does not depend on ``t``.
-    stationary_speeds: bool = False
 
     @abstractmethod
     def evaluate(self, t, x, v):
@@ -219,9 +218,11 @@ class DensityModel(ABC):
         """Marginal ``m(t, v) = \\int f(t, x, v) dx``."""
 
     def conditional(self, t, x, v):
-        """Positional conditional ``f(t, x | v)``.
+        """Positional conditional ``f(t, x | v)``; ``t`` is a scalar or per row.
 
-        Zero where the marginal vanishes.
+        Defined where ``m(t, v) > 0``, as every candidate velocity is.
+        This base form, joint over marginal and zero where the marginal
+        vanishes, takes per-row times only if both of those do.
         """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
@@ -261,29 +262,24 @@ class DensityModel(ABC):
         ``E|V| <= sqrt(E|V|^2)`` turns this into a horizon-wide bound on
         the mean speed, which rejection envelopes rely on.
         """
-        return self._speed_moment_sup(2, horizon, 257) * (1.0 + 1e-9)
+        return self._speed_moment_sup(2, horizon) * (1.0 + 1e-9)
 
-    def _speed_moment_sup(self, p, horizon, n_grid):
-        """``max E|V|^p`` over ``n_grid`` times in ``[0, horizon]``.
+    def _speed_moment_sup(self, p, horizon):
+        """``sup_{t <= horizon} E|V|^p``, read at ``t = 0`` and ``t = horizon``.
 
-        A family with stationary speeds gives the same float at every
-        time, so it is read once.
+        Exact when ``E|V|^p`` is monotone in ``t``, as in every family here.
         """
-        if self.stationary_speeds:
-            return self.speed_moment(0.0, p)
-        grid = np.linspace(0.0, horizon, n_grid)
-        return float(max(self.speed_moment(t, p) for t in grid))
+        return float(max(self.speed_moment(0.0, p), self.speed_moment(horizon, p)))
 
     def moment_bound(self, p, horizon):
         """Bound on ``sup_{t <= horizon} sup_x \\int |v|^p f(t, x, v) dv``.
 
         ``f(t, x, v) = f(t, x | v) m(t, v)``, so the conditional's sup
-        times the largest ``E|V|^p`` over 2049 times, with 1e-9 slack,
-        bounds it.
+        times the supremum of ``E|V|^p``, with 1e-9 slack, bounds it.
         """
         return (
             self.conditional_sup(horizon)
-            * self._speed_moment_sup(p, horizon, 2049)
+            * self._speed_moment_sup(p, horizon)
             * (1.0 + 1e-9)
         )
 
@@ -311,12 +307,17 @@ class RadialMixtureModel(DensityModel):
     Gaussian (``power2m == 0``); the marginal, both velocity samplers and
     the speed moments follow from it.  A sampler picks component ``k``
     when ``u < sum_{i >= k} p_i`` for one uniform ``u`` per draw, and a
-    single-component mixture draws no ``u`` at all.
+    single-component mixture draws no ``u`` at all.  Subclasses also give
+    :meth:`conditional`, and the joint density is its product with the
+    marginal.
     """
 
     @abstractmethod
     def radial_components(self, t):
         """Mixture components at time ``t``; component 0 is the plain Gaussian."""
+
+    def evaluate(self, t, x, v):
+        return self.conditional(t, x, v) * self.velocity_marginal(t, v)
 
     def velocity_marginal(self, t, v):
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
@@ -384,8 +385,6 @@ class GaussianProductModel(RadialMixtureModel):
     Boltzmann equation in vacuum for every collision kernel.
     """
 
-    stationary_speeds = True
-
     def __init__(self, vel_var=1.0, pos_var=1.0, drift="static"):
         if vel_var <= 0.0 or pos_var <= 0.0:
             raise ValueError("variances must be positive")
@@ -402,21 +401,14 @@ class GaussianProductModel(RadialMixtureModel):
 
     def _center(self, t, v):
         if self.drift == "free_transport":
-            return t * v
+            return np.asarray(t)[..., np.newaxis] * v
         return np.zeros_like(v)
 
-    def evaluate(self, t, x, v):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        pos = _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
-        return pos * self.velocity_marginal(t, v)
-
     def conditional(self, t, x, v):
-        # f(t, x | v) is the position bump wherever the marginal is positive
+        # the position bump wherever m(t, v) > 0, the only v it is read at
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        pos = _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
-        return np.where(self.velocity_marginal(t, v) > 0.0, pos, 0.0)
+        return _gaussian_pdf_3d(x - self._center(t, v), self.pos_var)
 
     def conditional_sup(self, horizon):
         return (2.0 * math.pi * self.pos_var) ** -1.5
@@ -457,18 +449,10 @@ class RadialBoxModel(RadialMixtureModel):
         self.vel_var = float(vel_var)
         self.box_side = self.side
 
-    def evaluate(self, t, x, v):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        marg = self.velocity_marginal(t, v)
-        if x.shape[0] > marg.shape[0]:
-            marg = np.broadcast_to(marg, (x.shape[0],))
-        return marg * self.side**-3
-
     def conditional(self, t, x, v):
-        # f(t, x | v) is side^-3 wherever the marginal is positive
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        positive = self.velocity_marginal(t, v) > 0.0
-        return np.where(positive, self.side**-3, np.zeros(x.shape[0]))
+        # side^-3 wherever m(t, v) > 0, the only v it is read at
+        x, v = np.atleast_2d(x, v)
+        return np.full(max(len(x), len(v)), self.side**-3)
 
     def conditional_sup(self, horizon):
         return self.side**-3
@@ -497,8 +481,6 @@ class BoxMaxwellianModel(RadialBoxModel):
     the reference equilibrium in relaxation and entropy experiments.
     """
 
-    stationary_speeds = True
-
     def __init__(self, side=1.0, vel_var=1.0):
         super().__init__(side, vel_var)
         self._components = (RadialComponent(1.0, self.vel_var, 0),)
@@ -518,10 +500,12 @@ class BKWModel(RadialBoxModel):
 
     with ``K(t) = 1 - c0 exp(-rate * t)``.  Energy ``E|V|^2 = 3 s`` is
     conserved while the fourth moment relaxes as
-    ``E|V|^4 = 15 s^2 K (2 - K)``.  The family stays nonnegative for
-    ``0 < c0 <= 2/5``.  ``rate`` must match the collision kernel for the
-    family to be dynamically consistent; :func:`bkw_relaxation_rate`
-    computes that value.
+    ``E|V|^4 = 15 s^2 K (2 - K)``; every speed moment,
+    ``E|V|^p = M_p(s K) [1 + p (1 - K) / (2 K)]`` with ``M_p`` the
+    Maxwellian one, is monotone in ``K`` and so in ``t``.  The family
+    stays nonnegative for ``0 < c0 <= 2/5``.  ``rate`` must match the
+    collision kernel for the family to be dynamically consistent;
+    :func:`bkw_relaxation_rate` computes that value.
     """
 
     def __init__(self, side=1.0, vel_var=1.0, c0=0.4, rate=1.0):
@@ -572,8 +556,6 @@ class MollifiedEmpiricalModel(DensityModel):
     periodic heat kernel up to terms of order ``exp(-(side/2)^2 / (2 h_x^2))``
     and therefore requires ``h_x`` well below the box side.
     """
-
-    stationary_speeds = True
 
     def __init__(self, positions, velocities, h_x, h_v, side=None):
         positions = np.asarray(positions, dtype=np.float64)
@@ -710,6 +692,10 @@ class MollifiedEmpiricalModel(DensityModel):
     def speed_moment(self, t, p):
         vals = radial_gaussian_moment(self._speeds, self.h_v**2, 0, p)
         return float(vals.mean())
+
+    def _speed_moment_sup(self, p, horizon):
+        # frozen in time, and each read is a radial quadrature per particle
+        return self.speed_moment(0.0, p)
 
     def gradient_moment_bound(self, horizon):
         grad_peak = (

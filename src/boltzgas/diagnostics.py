@@ -67,10 +67,15 @@ def smooth_bump(u):
     Gauss-Legendre quadrature of bump integrands fast-converging.
     """
     u = np.asarray(u, dtype=np.float64)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
+    # |u| < 1 exactly when the rounded u * u < 1
+    return _bump_sq(u * u)
+
+
+def _bump_sq(u2):
+    """:func:`smooth_bump` of ``|u|`` from the squares ``u2 = |u|^2``."""
+    out = np.zeros_like(u2)
+    inside = u2 < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
     return out
 
 
@@ -197,8 +202,8 @@ class CompactBump(TestFunction):
         out = np.zeros_like(delta)
         inside = u2 < 1.0
         if np.any(inside):
-            val = np.exp(1.0 - 1.0 / (1.0 - u2[inside]))
-            slope = -2.0 * val / (1.0 - u2[inside]) ** 2 / self.radius**2
+            u2 = u2[inside]
+            slope = -2.0 * _bump_sq(u2) / (1.0 - u2) ** 2 / self.radius**2
             out[inside] = slope[:, None] * delta[inside]
         return out
 
@@ -629,8 +634,8 @@ def collision_symmetry_gap(
     two speeds and the enclosed angle, leaving a four-dimensional
     product rule; the azimuth is integrated with the periodic
     trapezoidal rule, exact to spectral accuracy for the smooth bump.
-    The post-collision speeds are closed forms in the azimuth, read off
-    one frame of the relative velocity per pair.
+    The squared post-collision speeds, which the bumps take, are closed
+    forms in the azimuth read off one frame of the relative velocity.
     """
     r1, r2, r3, r4 = (float(r) for r in radii)
     # The incoming-pair domain must cover the supports of both argument
@@ -653,7 +658,7 @@ def collision_symmetry_gap(
     cos_phi = math.sin(theta) * np.cos(phi)
     sin_phi = math.sin(theta) * np.sin(phi)
 
-    def post_speed(u, w, frame, sign):
+    def post_speed_sq(u, w, frame, sign):
         # |u + sign alpha|^2 = |u|^2 + s^2 (sign 2 u.w + |w|^2)
         #     + sign sin(theta) (u.I cos(phi) + u.J sin(phi)),  s = sin(theta/2):
         # per-pair dot products broadcast over the azimuth
@@ -661,7 +666,7 @@ def collision_symmetry_gap(
         ui = sign * np.sum(u * frame.i_axis, axis=1)
         uj = sign * np.sum(u * frame.j_axis, axis=1)
         sq = flat[:, None] + ui[:, None] * cos_phi + uj[:, None] * sin_phi
-        return np.sqrt(np.maximum(sq, 0.0))
+        return np.maximum(sq, 0.0)
 
     a = np.zeros((ra_g.size, 3))
     a[:, 2] = ra_g
@@ -674,10 +679,10 @@ def collision_symmetry_gap(
         b[:, 2] = rb_g * c
         w = b - a
         frame = orthonormal_frame(w)
-        post_a = post_speed(a, w, frame, 1.0)
-        post_b = post_speed(b, w, frame, -1.0)
-        post_term = smooth_bump(post_a / r3) * smooth_bump(post_b / r4)
-        swap_post = smooth_bump(post_a / r1) * smooth_bump(post_b / r2)
+        post_a = post_speed_sq(a, w, frame, 1.0)
+        post_b = post_speed_sq(b, w, frame, -1.0)
+        post_term = _bump_sq(post_a / r3**2) * _bump_sq(post_b / r4**2)
+        swap_post = _bump_sq(post_a / r1**2) * _bump_sq(post_b / r2**2)
         w_pair = base_w * (wchi[k] * s)
         lhs += float(np.dot(w_pair * pre, post_term.sum(axis=1)))
         rhs += float(np.dot(w_pair * swap_pre, swap_post.sum(axis=1)))

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import angular_mass, sample_theta, sigma, sigma_weight
+from .kernels import angular_mass, sample_theta, sigma_weight
 from .rng import stream
-from .truncation import alpha_j, project_j
+from .truncation import alpha_j, sigma_j
 
 __all__ = [
     "SimConfig",
@@ -101,9 +101,10 @@ class SimConfig:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
-        if self.level < 1.0:
+        # negated comparisons also reject NaN
+        if not self.level >= 1.0:
             raise ValueError("truncation level must be >= 1")
-        if self.level_step <= 0.0:
+        if not self.level_step > 0.0:
             raise ValueError("level step must be positive")
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
@@ -288,15 +289,13 @@ class Envelope:
 
 
 def jump_intensity(model, kernel, t, x, z, v, level, bound):
-    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of one candidate.
+    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of one candidate or rows.
 
-    Raises :class:`EnvelopeError` when it exceeds the candidate's
-    envelope ``bound``, so a violated bound never gives a wrong law.
+    ``t`` and ``bound`` are scalars or one per row.  The engine calls it
+    per candidate, a Picard pass once on all atoms.  Raises
+    :class:`EnvelopeError` naming the first row above its ``bound``.
     """
-    rel_speed = np.linalg.norm(project_j(z, level) - v)
-    intensity = sigma(kernel, rel_speed) * model.conditional(
-        t, x[np.newaxis], v[np.newaxis]
-    )[0]
+    intensity = sigma_j(kernel, z, v, level) * model.conditional(t, x, v)
     check_envelope(intensity, bound, t, level)
     return intensity
 
@@ -388,7 +387,7 @@ def _simulate(model, envelope, config, rng, x0, z0, log_events):
         x_now = x + (t - times[-1]) * z
         intensity = jump_intensity(
             model, envelope.kernel, t, x_now, z, v, level, bound
-        )
+        )[0]
         accepted = r < intensity
         if accepted:
             log.n_accepted += 1

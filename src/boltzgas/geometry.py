@@ -34,6 +34,7 @@ __all__ = [
     "deflection_alpha",
     "post_collision",
     "tanaka_rotation",
+    "row_norms",
 ]
 
 
@@ -57,6 +58,17 @@ def _vectors(name, a):
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def row_norms(vectors):
+    """Lengths of 3-vector rows, each bit-equal to ``np.linalg.norm(row)``.
+
+    ``np.linalg.norm`` of a single vector takes a BLAS dot product, whose
+    rounding differs from a last-axis sum of squares; ``np.vecdot`` calls
+    the same dot per row.  Unlike the rest of this module it checks
+    nothing: its callers pass rows they have validated or built.
+    """
+    return np.sqrt(np.vecdot(vectors, vectors))
 
 
 def _cross(a, b):

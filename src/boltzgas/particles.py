@@ -77,7 +77,7 @@ from .densities import (
     wrap_position,
 )
 from .engine import check_envelope
-from .geometry import deflection_alpha
+from .geometry import deflection_alpha, row_norms
 from .kernels import (
     angular_mass,
     angular_weighted_mass,
@@ -251,16 +251,6 @@ def _sample_xi(rng, plain_weight, tilt_weight):
     return radius * direction
 
 
-def _norms(vectors):
-    """Lengths of 3-vector rows, each bit-equal to ``np.linalg.norm(row)``.
-
-    ``np.linalg.norm`` of a single vector takes a BLAS dot product, whose
-    rounding differs from a last-axis sum of squares; ``np.vecdot`` calls
-    the same dot per row.
-    """
-    return np.sqrt(np.vecdot(vectors, vectors))
-
-
 def _one_sided_draws(rng, spec, vel, fired, cums, totals, h_v):
     """Per-row draws of the one-sided mode, in the order of the stream.
 
@@ -336,11 +326,11 @@ def _fire(out, spec, rng, vel, fired, rows):
             rng, spec, vel, fired, cums, totals, out.h_v
         )
     v_fired, v_cand = vel[fired], vel[partners]
-    speed = rel_speed = _norms(v_cand - v_fired)
+    speed = rel_speed = row_norms(v_cand - v_fired)
     if out.mode == ONE_SIDED:
         v_cand = v_cand + out.h_v * xis
-        speed = speed + out.h_v * _norms(xis)
-        rel_speed = _norms(v_cand - v_fired)
+        speed = speed + out.h_v * row_norms(xis)
+        rel_speed = row_norms(v_cand - v_fired)
     envelope = spec.c * sigma_weight(spec, speed)
     intensity = sigma(spec, rel_speed)
     # the ensemble draws at no truncation level

@@ -18,9 +18,11 @@ with the engine's strict thinning rule.  So every pass is an explicit
 functional of the previous one, and the fixed point solves the jump
 equation driven by that same noise.  Since no atom reads the current
 pass, decisions, frame turns and kicks are computed for all atoms at
-once; only the segment velocities (running sums of the kicks) and
-positions (running sums of the displacements) are sequential, and
-``np.cumsum`` adds them in time order.
+once: the intensities are one :func:`~boltzgas.engine.jump_intensity`
+call, the engine's own, with one time per atom.  Only the segment
+velocities (running sums of the kicks) and positions (running sums of
+the displacements) are sequential, and ``np.cumsum`` adds them in time
+order.
 
 The azimuthal angle ``psi`` is the frozen atom angle plus an
 accumulated frame rotation.  Between consecutive passes the scattering
@@ -42,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Envelope, Trajectory, check_envelope, initial_state
+from .engine import Envelope, Trajectory, initial_state, jump_intensity
 from .geometry import tanaka_rotation
 from .rng import stream
-from .truncation import alpha_j, project_j, sigma_j
+from .truncation import alpha_j, project_j
 
 __all__ = [
     "FrozenNoise",
@@ -177,14 +179,9 @@ def picard_pass(model, kernel, noise, prev):
         old_base, v[moved], project_j(base_now[moved], j), v[moved]
     )
 
-    # DensityModel takes one time per call, so f(s, x | v) is per atom
-    density = np.array([
-        model.conditional(t, x[np.newaxis], w[np.newaxis])[0]
-        for t, x, w in zip(s, prev.x_at, v)
-    ])
-    intensity = sigma_j(kernel, base_now, v, j) * density
-    check_envelope(intensity, noise.bounds, s, j)
-
+    intensity = jump_intensity(
+        model, kernel, s, prev.x_at, base_now, v, j, noise.bounds
+    )
     accepted = noise.thresholds < intensity
     kicks = alpha_j(
         base_now[accepted], v[accepted], noise.thetas[accepted], psi[accepted], j

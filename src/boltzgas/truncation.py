@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import deflection_alpha
+from .geometry import deflection_alpha, row_norms
 from .kernels import sigma
 
 __all__ = ["project_j", "alpha_j", "sigma_j", "energy_defect"]
@@ -65,7 +65,11 @@ def project_j(z, j):
         ``z / (1 + max(|z| - j, 0))``; bitwise equal to ``z`` on
         ``|z| <= j``, with norm at most ``min(j, |z|)`` otherwise.
     """
-    j, z = _checked(j, z)
+    return _project(*_checked(j, z))
+
+
+def _project(j, z):
+    """:func:`project_j` on inputs already validated by :func:`_checked`."""
     d = np.maximum(np.linalg.norm(z, axis=-1) - j, 0.0)[..., np.newaxis]
     return np.where(d > 0.0, z / (1.0 + d), z)
 
@@ -88,16 +92,16 @@ def sigma_j(spec, z, v, j):
     ----------
     spec : kernels.KernelSpec
     z, v : array_like, shape (..., 3)
-    j : float
-        Truncation level, ``>= 1``.
+    j : float or array_like
+        Truncation level(s), ``>= 1``, one for every row or one per row.
 
     Returns
     -------
     float or numpy.ndarray
+        One value per row, equal to that of the row alone.
     """
     j, z, v = _checked(j, z, v)
-    r = np.linalg.norm(project_j(z, j) - v, axis=-1)
-    return sigma(spec, r)
+    return sigma(spec, row_norms(_project(j, z) - v))
 
 
 def energy_defect(z, v, theta, phi, j):

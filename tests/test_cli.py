@@ -271,6 +271,57 @@ def test_schema_error_messages(edits, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "edits, path",
+    [
+        ({"model.side": math.nan}, "model.side"),
+        (
+            {"model": {"family": "gaussian_product", "vel_var": math.inf}},
+            "model.vel_var",
+        ),
+        ({"kernel.c": math.inf}, "kernel.c"),
+        ({"sim.level": math.nan}, "sim.level"),
+        ({"sim.level_step": math.nan}, "sim.level_step"),
+        ({"output_times": [0.1, math.nan]}, "config.output_times[1]"),
+        (
+            {
+                "mode": "Particles",
+                "model": _DELETE,
+                "simulate": _DELETE,
+                "particles": {"n": 4, "dt": math.inf},
+            },
+            "particles.dt",
+        ),
+        (
+            {
+                "mode": "CheckInvariants",
+                "sim": _DELETE,
+                "simulate": _DELETE,
+                "check_invariants": {"t": math.nan},
+            },
+            "check_invariants.t",
+        ),
+        (
+            {
+                "mode": "ExitProb",
+                "simulate": _DELETE,
+                "exit_prob": {"n_paths": 10, "thresholds": [2.0, math.inf]},
+            },
+            "exit_prob.thresholds[1]",
+        ),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, edits, path):
+    # json writes and reads NaN and Infinity, and NaN passes every
+    # range comparison, so finiteness is checked on its own
+    text = json.dumps(_edited(edits))
+    assert "NaN" in text or "Infinity" in text
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: must be finite, got")):
+        load_config(str(config))
+
+
 class TestReadme:
     text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 

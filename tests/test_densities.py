@@ -23,6 +23,7 @@ from boltzgas.densities import (
     pair_kernel,
     pair_sq_distances,
 )
+from boltzgas.engine import jump_intensity
 from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
 from boltzgas.quadrature import gauss_hermite_3d
 from boltzgas.rng import stream
@@ -268,12 +269,12 @@ class CountingBKW(BKWModel):
 
 
 class TestBoxConditional:
-    def test_one_marginal_per_call(self):
+    def test_reads_no_marginal(self):
         model = CountingBKW(side=1.5, c0=0.3)
         v = stream(14, 0).standard_normal((5, 3))
         for k in range(4):
             model.conditional(0.1 * k, np.zeros((1, 3)), v)
-        assert model.calls == 4
+        assert model.calls == 0
 
     def test_side_cubed_where_marginal_positive(self):
         model = BKWModel(side=1.5, c0=0.3)
@@ -281,15 +282,16 @@ class TestBoxConditional:
         cond = model.conditional(0.2, np.zeros((1, 3)), v)
         assert np.all(cond == 1.5**-3)
 
-    def test_zero_where_marginal_vanishes(self):
+    def test_side_cubed_where_marginal_vanishes(self):
         # at t = 0 with c0 = 2/5 the BKW marginal is |v|^2 times a
-        # Gaussian, so it vanishes at v = 0
-        model = BKWModel(c0=0.4)
+        # Gaussian, so it vanishes at v = 0; f(t, x | v) is only defined
+        # where m > 0, and thinning never draws a velocity outside it,
+        # so the closed form is returned there as well
+        model = BKWModel(side=1.5, c0=0.4)
         v = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
         assert model.velocity_marginal(0.0, v)[0] == 0.0
         cond = model.conditional(0.0, np.zeros((2, 3)), v)
-        assert cond[0] == 0.0
-        assert cond[1] == 1.0
+        assert np.all(cond == 1.5**-3)
 
 
 class CountingGaussian(GaussianProductModel):
@@ -304,13 +306,13 @@ class CountingGaussian(GaussianProductModel):
 
 class TestGaussianConditional:
     @pytest.mark.parametrize("drift", ["static", "free_transport"])
-    def test_one_marginal_per_call(self, drift):
+    def test_reads_no_marginal(self, drift):
         model = CountingGaussian(vel_var=1.3, pos_var=0.7, drift=drift)
         rng = stream(16, 0)
         for k in range(4):
             model.conditional(0.1 * k, rng.standard_normal((5, 3)),
                               rng.standard_normal((5, 3)))
-        assert model.calls == 4
+        assert model.calls == 0
 
     @pytest.mark.parametrize("drift", ["static", "free_transport"])
     def test_joint_over_marginal(self, drift):
@@ -328,13 +330,65 @@ class TestGaussianConditional:
                         / model.velocity_marginal(0.3, v), rtol=1e-15)
 
 
-class CountingMoments:
-    """Mix-in counting ``speed_moment`` evaluations."""
+def empirical_snapshot():
+    xs, vs = BoxMaxwellianModel(2.0, 1.0).sample_state(0.0, stream(18, 0), 130)
+    return MollifiedEmpiricalModel(xs, vs, h_x=0.2, h_v=0.5, side=2.0)
 
-    moment_calls = 0
+
+PER_ROW_FAMILIES = {
+    "box": lambda: BoxMaxwellianModel(side=1.5, vel_var=0.8),
+    "bkw": lambda: BKWModel(side=1.5, vel_var=1.0, c0=0.4, rate=0.9),
+    "gaussian_static": lambda: GaussianProductModel(vel_var=1.3, pos_var=0.7),
+    "gaussian_free_transport": lambda: GaussianProductModel(
+        vel_var=1.3, pos_var=0.7, drift="free_transport"
+    ),
+    "empirical": empirical_snapshot,
+}
+
+
+class TestPerRowTimes:
+    """``conditional`` and ``jump_intensity`` take one time per row."""
+
+    @pytest.mark.parametrize("name", sorted(PER_ROW_FAMILIES))
+    def test_rows_equal_one_row_calls(self, name):
+        model = PER_ROW_FAMILIES[name]()
+        kernel = KernelSpec(gamma=0.5, c=0.7, angular=HARD_SPHERE)
+        rng = stream(19, 0)
+        n = 40
+        t = np.sort(rng.uniform(0.0, 2.0, n))
+        assert len(np.unique(t)) == n
+        x = 1.5 * rng.standard_normal((n, 3))
+        z = 2.0 * rng.standard_normal((n, 3))
+        v = model.sample_velocity(0.0, rng, n)
+        bounds = np.full(n, np.inf)
+        # level 1.5 projects some of the z rows
+        rows = jump_intensity(model, kernel, t, x, z, v, 1.5, bounds)
+        assert rows.shape == (n,)
+        for a in range(n):
+            one = jump_intensity(model, kernel, t[a], x[a], z[a], v[a], 1.5, np.inf)
+            assert one.shape == (1,)
+            assert rows[a] == one[0], a
+
+        # f(t, x | v) is joint over marginal wherever the marginal is
+        # positive, as it is at every sampled velocity
+        cond = model.conditional(t, x, v)
+        for a in range(n):
+            one = slice(a, a + 1)
+            m = model.velocity_marginal(t[a], v[one])[0]
+            assert m > 0.0
+            joint = model.evaluate(t[a], x[one], v[one])[0]
+            assert_allclose(cond[a], joint / m, rtol=1e-15, atol=0.0)
+
+
+class CountingMoments:
+    """Mix-in recording the ``(t, p)`` of every ``speed_moment`` read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = []
 
     def speed_moment(self, t, p):
-        self.moment_calls += 1
+        self.reads.append((t, p))
         return super().speed_moment(t, p)
 
 
@@ -355,37 +409,47 @@ def scanned_sup(model, p, horizon, n_grid):
     return float(np.array([model.speed_moment(t, p) for t in grid]).max())
 
 
-class TestStationaryMoments:
+class TestMomentSuprema:
+    """``sup_t E|V|^p`` is read at the two ends of the horizon."""
+
     @pytest.mark.parametrize("make", [
         lambda: CountingBoxMoments(side=1.5, vel_var=0.8),
         lambda: CountingGaussianMoments(vel_var=0.8, drift="free_transport"),
     ], ids=["box", "gaussian"])
-    def test_speed_sq_bound_reads_one_moment(self, make):
+    def test_speed_sq_bound_reads_both_ends(self, make):
         model = make()
         bound = model.speed_sq_bound(3.0)
-        assert model.moment_calls == 1
+        assert model.reads == [(0.0, 2), (3.0, 2)]
         assert bound == scanned_sup(model, 2, 3.0, 257) * (1.0 + 1e-9)
 
-    def test_box_moment_bound_reads_one_moment(self):
+    def test_box_moment_bound_reads_both_ends(self):
         model = CountingBoxMoments(side=1.5, vel_var=0.8)
         for p in (2, 3, 4.5):
-            model.moment_calls = 0
+            model.reads = []
             bound = model.moment_bound(p, 2.0)
-            assert model.moment_calls == 1
+            assert model.reads == [(0.0, p), (2.0, p)]
             scan = scanned_sup(model, p, 2.0, 2049)
             assert bound == 1.5**-3 * scan * (1.0 + 1e-9)
 
     def test_bkw_speed_sq_bound_is_its_conserved_energy(self):
-        # E|V|^2 = 3 s at every time, so the bound reads no moment; its
-        # fourth moment relaxes, so moment_bound still scans the horizon
+        # E|V|^2 = 3 s at every time, so the bound reads no moment
         model = CountingBKWMoments(side=1.0, vel_var=0.8, c0=0.3)
         bound = model.speed_sq_bound(1.0)
-        assert model.moment_calls == 0
+        assert model.reads == []
         assert bound == 3.0 * 0.8 * (1.0 + 1e-9)
         assert bound > scanned_sup(model, 2, 1.0, 257)
-        model.moment_calls = 0
-        model.moment_bound(4, 1.0)
-        assert model.moment_calls == 2049
+
+    @pytest.mark.parametrize("c0", [0.05, 0.4])
+    def test_bkw_moment_bound_matches_the_scan(self, c0):
+        # every BKW moment is monotone in t, so its two ends bound it
+        model = CountingBKWMoments(side=1.5, vel_var=0.8, c0=c0, rate=0.7)
+        for p in (0.5, 1, 2, 3, 4):
+            for horizon in (0.3, 2.0, 9.0):
+                model.reads = []
+                bound = model.moment_bound(p, horizon)
+                assert model.reads == [(0.0, p), (horizon, p)]
+                scan = 1.5**-3 * scanned_sup(model, p, horizon, 2049)
+                assert_allclose(bound, scan * (1.0 + 1e-9), rtol=1e-15, atol=0.0)
 
 
 class TestMomentOracle:

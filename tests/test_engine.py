@@ -35,6 +35,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="step"):
             engine.SimConfig(horizon=1.0, level_step=0.0)
 
+    def test_rejects_nan_level_and_step(self):
+        # NaN fails every comparison, so a plain `level < 1` lets it in
+        with pytest.raises(ValueError, match="level must be"):
+            engine.SimConfig(horizon=1.0, level=math.nan)
+        with pytest.raises(ValueError, match="step"):
+            engine.SimConfig(horizon=1.0, level_step=math.nan)
+
 
 class TestMajorantRate:
     def test_flat_kernel_closed_form(self):

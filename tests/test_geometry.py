@@ -9,6 +9,7 @@ from boltzgas.geometry import (
     gamma,
     orthonormal_frame,
     post_collision,
+    row_norms,
     tanaka_rotation,
 )
 
@@ -304,6 +305,18 @@ class TestTanakaRotation:
         phi0 = tanaka_rotation(np.zeros_like(w), w, np.zeros_like(w2), w2)
         assert np.all(phi0 >= 0.0)
         assert np.all(phi0 < 2.0 * np.pi)
+
+
+class TestRowNorms:
+    def test_each_row_is_the_single_vector_norm(self):
+        rows = random_vectors(np.random.default_rng(71), 4000)
+        norms = row_norms(rows)
+        assert norms.shape == (4000,)
+        for i in range(len(rows)):
+            assert norms[i] == np.linalg.norm(rows[i]), i
+        assert row_norms(rows[0]) == np.linalg.norm(rows[0])
+        # a last-axis sum of squares rounds some rows differently
+        assert np.any(np.linalg.norm(rows, axis=1) != norms)
 
 
 class TestShapeRule:

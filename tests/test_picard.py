@@ -413,7 +413,7 @@ class TestBatchedPass:
         class LateLiar(densities.BoxMaxwellianModel):
             # the density doubles in the second half of the horizon
             def conditional(self, t, x, v):
-                scale = 2.0 if t > 0.5 else 1.0
+                scale = np.where(np.asarray(t) > 0.5, 2.0, 1.0)
                 return scale * super().conditional(t, x, v)
 
         liar = LateLiar(side=1.0, vel_var=1.0)
