@@ -251,41 +251,6 @@ class ResidualReport:
         }
 
 
-def _tilted_moment(speeds, component, p, q, radial_factor=None, n_nodes=400):
-    """Primitive ``T_{p,q}`` against one (possibly tilted) component.
-
-    For a ``|v|^2``-tilted component the substitution ``v = y + w``
-    expands ``|v|^2 = |y|^2 + 2 |y| (yhat.what) |w| + |w|^2`` exactly,
-    so the tilt costs two extra primitives with shifted orders.
-    """
-    s = component.variance
-    out = np.empty_like(speeds)
-    # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per speed
-    for rows in pair_blocks(len(speeds), n_nodes // 2 + n_nodes):
-        r = speeds[rows]
-        if component.power2m == 0:
-            val = radial_gaussian_moment(
-                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-        elif component.power2m == 1:
-            t0 = radial_gaussian_moment(
-                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            t1 = radial_gaussian_moment(
-                r, s, p + 1, q + 1.0, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            t2 = radial_gaussian_moment(
-                r, s, p, q + 2.0, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            val = (r * r * t0 + 2.0 * r * t1 + t2) / (3.0 * s)
-        else:
-            raise NotImplementedError(
-                f"tilt power 2m = {2 * component.power2m} not supported"
-            )
-        out[rows] = val
-    return out
-
-
 def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
     """Azimuth- and angle-averaged collision action on a quadratic.
 
@@ -321,19 +286,38 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
     tr_a = float(np.trace(A))
     zaz = np.einsum("ni,ij,nj->n", zhat, A, zhat)
     bz = zhat @ b
+    quadratic = bool(np.any(A != 0.0))
+    orders = [(1, gamma + 1.0)]
+    if quadratic:
+        orders += [(0, gamma + 2.0), (2, gamma + 2.0)]
 
     total = np.zeros(len(z))
     for comp in components:
-        t1 = _tilted_moment(y_norm, comp, 1, gamma + 1.0, radial_factor, n_nodes)
-        linear = beta1 * (2.0 * z_norm * zaz + bz) * t1
+        s = comp.variance
+        if comp.power2m not in (0, 1):
+            raise NotImplementedError(
+                f"tilt power 2m = {2 * comp.power2m} not supported"
+            )
+        # A |v|^2-tilted component expands |v|^2 = |y|^2 + 2 |y|
+        # (yhat.what) |w| + |w|^2 exactly under v = y + w, so each order
+        # (p, q) costs the three primitives (p, q), (p+1, q+1), (p, q+2).
+        shifts = [(0, 0.0), (1, 1.0), (0, 2.0)] if comp.power2m else [(0, 0.0)]
+        ps = [p + dp for p, _ in orders for dp, _ in shifts]
+        qs = [q + dq for _, q in orders for _, dq in shifts]
+        moments = np.empty((len(orders), len(z)))
+        # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per speed
+        for rows in pair_blocks(len(z), n_nodes // 2 + n_nodes):
+            r = y_norm[rows]
+            t = radial_gaussian_moment(
+                r, s, ps, qs, n_nodes=n_nodes, radial_factor=radial_factor
+            )
+            if comp.power2m == 1:
+                t = (r * r * t[0::3] + 2.0 * r * t[1::3] + t[2::3]) / (3.0 * s)
+            moments[:, rows] = t
+        linear = beta1 * (2.0 * z_norm * zaz + bz) * moments[0]
         quad = np.zeros_like(linear)
-        if tr_a != 0.0 or np.any(A != 0.0):
-            t0 = _tilted_moment(
-                y_norm, comp, 0, gamma + 2.0, radial_factor, n_nodes
-            )
-            t2 = _tilted_moment(
-                y_norm, comp, 2, gamma + 2.0, radial_factor, n_nodes
-            )
+        if quadratic:
+            t0, t2 = moments[1:]
             w_aw = zaz * t2 + (tr_a - zaz) * 0.5 * (t0 - t2)
             quad = (beta2 - 0.5 * (beta1 - beta2)) * w_aw + 0.5 * (
                 beta1 - beta2
@@ -464,8 +448,10 @@ def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=400
 
     For each tagged velocity the closed rate of change of ``|Z|^2`` is
 
-        2 pi c beta1 / side^3 * (2 |y| T_{1, g+1}(|y|) + T_{0, g+2}(|y|)),
+        2 pi c beta1 / side^3 * (2 |z| T_{1, g+1}(|y|) + T_{0, g+2}(|y|)),
 
+    where ``y`` is ``z`` pulled back to the ball of radius ``level``;
+    ``|z|`` stays because ``|z + a|^2 - |z|^2 = 2 z.a + |a|^2``.  It is
     positive for particles slower than the bath and negative for faster
     ones, so a cold ensemble heats and a hot one cools.  Averaging the
     returned values over an ensemble gives the quadrature side of the
@@ -493,22 +479,6 @@ def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
         tolerance=0.0,
         n_samples=n,
         details={"t": t, "level": level},
-    )
-
-
-def _clipped_segments(path, horizon):
-    """Segment table of a trajectory restricted to ``[0, horizon]``."""
-    if horizon > path.horizon + 1e-12:
-        raise ValueError("requested window exceeds the simulated horizon")
-    keep = path.times < horizon
-    times = path.times[keep]
-    ends = np.append(times[1:], horizon)
-    lengths = np.minimum(ends, horizon) - times
-    return (
-        times,
-        lengths,
-        path.velocities[keep],
-        path.levels[keep],
     )
 
 
@@ -542,6 +512,12 @@ def weak_residual(
     if not trajectories:
         raise ValueError("empty ensemble")
     horizon = trajectories[0].horizon if horizon is None else float(horizon)
+    shortest = min(path.horizon for path in trajectories)
+    if not 0.0 <= horizon <= shortest:
+        raise ValueError(
+            f"requested window [0, {horizon}] is not within the simulated "
+            f"horizon {shortest}"
+        )
 
     needs_action = collisions and psi.collision_active
     if needs_action:
@@ -553,46 +529,43 @@ def weak_residual(
                 "does not provide"
             )
 
+    # One segment table of the whole ensemble; path i owns the rows
+    # starts[i] .. starts[i] + counts[i] - 1.
     n = len(trajectories)
-    delta = np.empty(n)
-    transport = np.zeros(n)
-    seg_z = []
-    seg_len = []
-    seg_lvl = []
-    seg_path = []
-    for i, path in enumerate(trajectories):
-        x_end = path.position(horizon)
-        z_end = path.velocity(horizon)
-        delta[i] = float(
-            psi.value(x_end[None], z_end[None])[0]
-            - psi.value(path.positions[:1], path.velocities[:1])[0]
-        )
-        if psi.quad_matrix is None:
-            # Position-only observable: the transport integral is the
-            # exact increment of psi along the continuous path.
-            transport[i] = delta[i]
-        if needs_action:
-            _, lengths, vels, levels = _clipped_segments(path, horizon)
-            seg_z.append(vels)
-            seg_len.append(lengths)
-            seg_lvl.append(levels)
-            seg_path.append(np.full(len(lengths), i))
+    counts = np.array([len(path.times) for path in trajectories])
+    starts = np.cumsum(counts) - counts
+    path_of = np.repeat(np.arange(n), counts)
+    times, positions, velocities, levels = (
+        np.concatenate([getattr(path, name) for path in trajectories])
+        for name in ("times", "positions", "velocities", "levels")
+    )
+    # The end state lies on the last segment starting at or before the
+    # horizon.
+    last = starts + np.bincount(path_of[times <= horizon], minlength=n) - 1
+    x_end = positions[last] + (horizon - times[last])[:, None] * velocities[last]
+    delta = psi.value(x_end, velocities[last]) - psi.value(
+        positions[starts], velocities[starts]
+    )
+    # A position-only observable's transport integral is the exact
+    # increment of psi along the continuous path.
+    transport = delta if psi.quad_matrix is None else np.zeros(n)
 
     collision = np.zeros(n)
-    if needs_action and seg_z:
-        z_all = np.concatenate(seg_z)
-        len_all = np.concatenate(seg_len)
-        lvl_all = np.concatenate(seg_lvl)
-        idx_all = np.concatenate(seg_path)
-        action = np.zeros(len(z_all))
-        for lvl in np.unique(lvl_all):
-            sel = lvl_all == lvl
+    if needs_action:
+        ends = np.append(times[1:], horizon)
+        ends[starts[1:] - 1] = horizon
+        lengths = np.minimum(ends, horizon) - times
+        seg = times < horizon
+        z_seg, lvl_seg = velocities[seg], levels[seg]
+        action = np.zeros(len(z_seg))
+        for lvl in np.unique(lvl_seg):
+            sel = lvl_seg == lvl
             action[sel] = collision_action(
-                model, kernel, psi, 0.0, z_all[sel], level=float(lvl),
+                model, kernel, psi, 0.0, z_seg[sel], level=float(lvl),
                 n_nodes=n_nodes,
             )
         collision = np.bincount(
-            idx_all, weights=len_all * action, minlength=n
+            path_of[seg], weights=lengths[seg] * action, minlength=n
         )
 
     residuals = delta - transport - collision
@@ -916,8 +889,10 @@ def moment_report(trajectories, times):
     """
     if not trajectories:
         raise ValueError("empty ensemble")
-    times = np.asarray(times, dtype=np.float64).ravel()
     n = len(trajectories)
+    if n < 2:
+        raise ValueError(f"need at least two paths, got {n}")
+    times = np.asarray(times, dtype=np.float64).ravel()
     vel = np.empty((n, len(times), 3))
     for i, path in enumerate(trajectories):
         vel[i] = path.velocity(times)

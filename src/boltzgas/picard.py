@@ -317,6 +317,8 @@ def contraction_profile(
     """
     if n_iterates < 2:
         raise ValueError("need at least two passes to measure a distance")
+    if n_realizations < 2:
+        raise ValueError(f"need at least two realizations, got {n_realizations}")
     envelope = Envelope(model, kernel, horizon)
     dist = np.empty((n_realizations, n_iterates))
     for i in range(n_realizations):

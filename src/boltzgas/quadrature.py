@@ -104,19 +104,21 @@ def sphere_exp_moments_scaled(a, pmax):
     if np.any(small):
         asm = a_[small]
         ea = np.exp(-asm)
-        for p in range(pmax + 1):
-            # m_p(a) = 2 sum_{k >= 0, p + k even} (-a)^k / (k! (p+k+1))
-            acc = np.zeros_like(asm)
-            term_pow = np.ones_like(asm)
-            fact = 1.0
-            for k in range(0, 40):
-                if (p + k) % 2 == 0:
-                    acc += term_pow / (fact * (p + k + 1))
-                term_pow = term_pow * (-asm)
-                fact *= k + 1
-                if k > 6 and np.all(np.abs(term_pow) / fact < 1e-18):
-                    break
-            out[p][small] = 2.0 * acc * ea
+        # m_p(a) = 2 sum_{k >= 0, p + k even} (-a)^k / (k! (p+k+1)): one
+        # series of powers feeds every order of matching parity
+        acc = np.zeros((pmax + 1,) + asm.shape)
+        term_pow = np.ones_like(asm)
+        fact = 1.0
+        for k in range(0, 40):
+            for p in range(k % 2, pmax + 1, 2):
+                acc[p] += term_pow / (fact * (p + k + 1))
+            term_pow = term_pow * (-asm)
+            fact *= k + 1
+            if k > 6 and np.all(np.abs(term_pow) / fact < 1e-18):
+                break
+        acc *= 2.0
+        acc *= ea
+        out[:, small] = acc
     big = ~small
     if np.any(big):
         ab = a_[big]
@@ -138,7 +140,8 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
     Computes ``int |w|^q ((z/|z|) . (w/|w|))^p M(z + w; s) dw`` for a
     batch of speeds ``|z|``.  The radial integrand is a Gaussian bump
     centered at ``r = |z|`` of width ``sqrt(s)``; the node window covers
-    ``[0, |z| + 14 sqrt(s)]``.
+    ``[0, |z| + 14 sqrt(s)]``.  Several orders share the nodes, the
+    Gaussian factor and one sphere-moment table up to the largest ``p``.
 
     Parameters
     ----------
@@ -146,10 +149,10 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
         Speeds ``|z| >= 0``.
     s : float
         Per-component variance of the Maxwellian.
-    p : int
-        Sphere-moment order (0..6).
-    q : float
-        Radial power ``> -3``.
+    p : int or sequence of int
+        Sphere-moment order (0..6), or one order per result row.
+    q : float or sequence of float
+        Radial power ``> -3``, or one power per entry of ``p``.
     n_nodes : int
         Gauss-Legendre order.
     radial_factor : callable, optional
@@ -159,14 +162,21 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
 
     Returns
     -------
-    numpy.ndarray
-        Same shape as ``z_norm``.
+    float or numpy.ndarray
+        For one order, a float for a scalar speed and an array shaped
+        like ``z_norm`` otherwise; for sequences, one such result per
+        order stacked along a new first axis.
     """
     zn = np.atleast_1d(np.asarray(z_norm, dtype=np.float64))
     if np.any(zn < 0.0):
         raise ValueError("speeds must be nonnegative")
-    if q <= -3.0:
-        raise ValueError(f"radial power must exceed -3, got {q}")
+    orders = np.ndim(p) > 0
+    ps, qs = (list(p), list(q)) if orders else ([p], [q])
+    if len(ps) != len(qs):
+        raise ValueError(f"{len(ps)} sphere orders but {len(qs)} radial powers")
+    for qi in qs:
+        if qi <= -3.0:
+            raise ValueError(f"radial power must exceed -3, got {qi}")
     rmax = float(np.max(zn)) + 14.0 * np.sqrt(s)
     # Fractional q makes r**(2+q) non-analytic at r = 0, which stalls
     # Gauss-Legendre there; the chart r = u^2 doubles the exponent and
@@ -179,16 +189,22 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
     r = np.concatenate([r_head, r_tail])
     wts = np.concatenate([w_head, w_tail])
     a = zn[:, np.newaxis] * r[np.newaxis, :] / s
-    mom = sphere_exp_moments_scaled(a, p)[p]
+    mom = sphere_exp_moments_scaled(a, max(ps))
     expo = np.exp(-((r[np.newaxis, :] - zn[:, np.newaxis]) ** 2) / (2.0 * s))
-    vals = r ** (2.0 + q) * expo * mom
     if radial_factor is not None:
-        vals = vals * np.asarray(radial_factor(r), dtype=np.float64)
+        factor = np.asarray(radial_factor(r), dtype=np.float64)
     pref = 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
-    out = pref * vals @ wts
-    if np.isscalar(z_norm) or np.asarray(z_norm).ndim == 0:
-        return float(out[0])
-    return out
+    out = np.empty((len(ps), len(zn)))
+    for row, pi, qi in zip(out, ps, qs):
+        vals = r ** (2.0 + qi) * expo * mom[pi]
+        if radial_factor is not None:
+            vals = vals * factor
+        row[:] = pref * vals @ wts
+    if np.ndim(z_norm) == 0:
+        out = out[:, 0]
+    if orders:
+        return out
+    return float(out[0]) if np.ndim(z_norm) == 0 else out[0]
 
 
 def radial_gaussian_moment_adaptive(z_norm, s, p, q, radial_factor=None):

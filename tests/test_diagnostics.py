@@ -29,7 +29,11 @@ from boltzgas.diagnostics import (
     weak_residual,
 )
 from boltzgas.geometry import deflection_alpha
-from boltzgas.quadrature import gauss_hermite_3d, gauss_legendre
+from boltzgas.quadrature import (
+    gauss_hermite_3d,
+    gauss_legendre,
+    radial_gaussian_moment,
+)
 from boltzgas.rng import stream
 
 MAXWELL_KERNEL = kernels.KernelSpec(
@@ -596,3 +600,202 @@ class TestMomentReport:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             moment_report([], [0.0])
+
+
+def _tilted_moment(speeds, component, p, q, radial_factor=None, n_nodes=400):
+    """One order of one (possibly tilted) component, one call per order.
+
+    The per-order route of the collision action: the block loop, the
+    primitive calls and the tilt recombination that ``_reduced_action``
+    now makes once per component and block for all orders.
+    """
+    s = component.variance
+    out = np.empty_like(speeds)
+    for rows in densities.pair_blocks(len(speeds), n_nodes // 2 + n_nodes):
+        r = speeds[rows]
+        if component.power2m == 0:
+            val = radial_gaussian_moment(
+                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
+            )
+        else:
+            t0 = radial_gaussian_moment(
+                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
+            )
+            t1 = radial_gaussian_moment(
+                r, s, p + 1, q + 1.0, n_nodes=n_nodes, radial_factor=radial_factor
+            )
+            t2 = radial_gaussian_moment(
+                r, s, p, q + 2.0, n_nodes=n_nodes, radial_factor=radial_factor
+            )
+            val = (r * r * t0 + 2.0 * r * t1 + t2) / (3.0 * s)
+        out[rows] = val
+    return out
+
+
+def reference_collision_action(model, kernel, psi, t, z, level, n_nodes):
+    """``collision_action`` assembled from :func:`_tilted_moment`."""
+    A, b = psi.quad_matrix, psi.lin_vector
+    z_norm = np.linalg.norm(z, axis=1)
+    zhat = z / np.where(z_norm > 0.0, z_norm, 1.0)[:, None]
+    if level is None:
+        y_norm = z_norm
+    else:
+        y_norm = z_norm / (1.0 + np.maximum(z_norm - level, 0.0))
+    beta1 = kernels.angular_weighted_mass(kernel, "sin2_half")
+    beta2 = kernels.angular_weighted_mass(kernel, "sin4_half")
+    gamma = kernel.gamma
+    tr_a = float(np.trace(A))
+    zaz = np.einsum("ni,ij,nj->n", zhat, A, zhat)
+    bz = zhat @ b
+    total = np.zeros(len(z))
+    for comp in model.radial_components(t):
+        t1 = _tilted_moment(y_norm, comp, 1, gamma + 1.0, None, n_nodes)
+        linear = beta1 * (2.0 * z_norm * zaz + bz) * t1
+        quad = np.zeros_like(linear)
+        if np.any(A != 0.0):
+            t0 = _tilted_moment(y_norm, comp, 0, gamma + 2.0, None, n_nodes)
+            t2 = _tilted_moment(y_norm, comp, 2, gamma + 2.0, None, n_nodes)
+            w_aw = zaz * t2 + (tr_a - zaz) * 0.5 * (t0 - t2)
+            quad = (beta2 - 0.5 * (beta1 - beta2)) * w_aw + 0.5 * (
+                beta1 - beta2
+            ) * tr_a * t0
+        total += comp.weight * (linear + quad)
+    return 2.0 * math.pi * kernel.c * total * model.side**-3
+
+
+class TestBatchedOrders:
+    @pytest.mark.parametrize(
+        "psi, level",
+        [
+            (Energy(), None),
+            (LinearMomentum([0.3, -1.0, 0.2]), 1.5),
+            (Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1]), 1.5),
+        ],
+        ids=["energy", "momentum-level", "quadratic-level"],
+    )
+    def test_bkw_action_matches_per_order_route(self, psi, level):
+        bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
+        assert {c.power2m for c in bkw.radial_components(0.3)} == {0, 1}
+        z = 1.2 * np.random.default_rng(31).standard_normal((3500, 3))
+        # 600 radial nodes per speed: two pair blocks of 3333 and 167 rows
+        blocks = list(densities.pair_blocks(len(z), 600))
+        assert len(blocks) == 2
+        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=level)
+        want = reference_collision_action(
+            bkw, GRAZING_KERNEL, psi, 0.3, z, level, 400
+        )
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_weak_residual(
+    trajectories, model, kernel, psi, horizon=None, collisions=True, n_nodes=400
+):
+    """``weak_residual`` path by path: clip each path's segments, then pool.
+
+    Returns ``(lhs, rhs, stderr)``.  Rows reach ``collision_action`` in
+    the same order and level groups as in the one-table route, so the
+    two agree bit for bit.
+    """
+    horizon = trajectories[0].horizon if horizon is None else float(horizon)
+    needs_action = collisions and psi.collision_active
+    n = len(trajectories)
+    delta = np.empty(n)
+    transport = np.zeros(n)
+    seg_z, seg_len, seg_lvl, seg_path = [], [], [], []
+    for i, path in enumerate(trajectories):
+        x_end = path.position(horizon)
+        z_end = path.velocity(horizon)
+        delta[i] = float(
+            psi.value(x_end[None], z_end[None])[0]
+            - psi.value(path.positions[:1], path.velocities[:1])[0]
+        )
+        if psi.quad_matrix is None:
+            transport[i] = delta[i]
+        if needs_action:
+            keep = path.times < horizon
+            times = path.times[keep]
+            ends = np.append(times[1:], horizon)
+            seg_len.append(np.minimum(ends, horizon) - times)
+            seg_z.append(path.velocities[keep])
+            seg_lvl.append(path.levels[keep])
+            seg_path.append(np.full(len(times), i))
+    collision = np.zeros(n)
+    if needs_action:
+        z_all = np.concatenate(seg_z)
+        lvl_all = np.concatenate(seg_lvl)
+        action = np.zeros(len(z_all))
+        for lvl in np.unique(lvl_all):
+            sel = lvl_all == lvl
+            action[sel] = collision_action(
+                model, kernel, psi, 0.0, z_all[sel], level=float(lvl),
+                n_nodes=n_nodes,
+            )
+        collision = np.bincount(
+            np.concatenate(seg_path),
+            weights=np.concatenate(seg_len) * action,
+            minlength=n,
+        )
+    residuals = delta - transport - collision
+    stderr = float(np.std(residuals, ddof=1) / math.sqrt(n))
+    return float(np.mean(delta)), float(np.mean(transport + collision)), stderr
+
+
+@pytest.fixture(scope="module")
+def mixed_ensemble():
+    """Escalating grazing paths on several levels, with jumpless paths."""
+    escalating = engine.SimConfig(horizon=0.5, level=1.0, level_step=0.5)
+    busy, _ = engine.simulate_ensemble(
+        BOX, GRAZING_KERNEL, escalating, seed=41, n_paths=120
+    )
+    faint = kernels.KernelSpec(gamma=0.0, c=0.01, angular=kernels.HARD_SPHERE)
+    quiet, _ = engine.simulate_ensemble(
+        BOX, faint, engine.SimConfig(horizon=0.5), seed=42, n_paths=12
+    )
+    ensemble = busy[:50] + quiet[:6] + busy[50:] + quiet[6:]
+    levels = np.unique(np.concatenate([path.levels for path in ensemble]))
+    assert len(levels) >= 3
+    assert sum(path.n_jumps == 0 for path in ensemble) >= 6
+    assert ensemble[-1].n_jumps == 0
+    return ensemble
+
+
+class TestSegmentTable:
+    PSIS = [
+        Constant(2.0),
+        LinearMomentum([1.0, -0.5, 0.0]),
+        Energy(),
+        Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1]),
+        CompactBump(center=[0.2, 0.3, -0.1], radius=1.5),
+    ]
+
+    @pytest.mark.parametrize("collisions", [True, False], ids=["on", "off"])
+    def test_matches_per_path_route(self, mixed_ensemble, collisions):
+        on_jump = float(mixed_ensemble[0].times[2])
+        for horizon in (None, 0.0, 0.17, on_jump, 0.5):
+            for psi in self.PSIS:
+                rep = weak_residual(
+                    mixed_ensemble, BOX, GRAZING_KERNEL, psi, horizon=horizon,
+                    collisions=collisions, n_nodes=200,
+                )
+                want = reference_weak_residual(
+                    mixed_ensemble, BOX, GRAZING_KERNEL, psi, horizon=horizon,
+                    collisions=collisions, n_nodes=200,
+                )
+                assert (rep.lhs, rep.rhs, rep.stderr) == want, (horizon, psi.kind)
+
+    @pytest.mark.parametrize("collisions", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("horizon", [0.5 + 1e-12, -0.1])
+    def test_window_outside_any_path_rejected(
+        self, mixed_ensemble, collisions, horizon
+    ):
+        with pytest.raises(ValueError, match="not within the simulated horizon"):
+            weak_residual(
+                mixed_ensemble, BOX, GRAZING_KERNEL, Energy(), horizon=horizon,
+                collisions=collisions,
+            )
+
+
+class TestOnePath:
+    def test_moment_report_needs_two_paths(self, box_ensemble):
+        with pytest.raises(ValueError, match="at least two paths, got 1"):
+            moment_report(box_ensemble[:1], [0.0, 0.2])

@@ -613,3 +613,11 @@ class TestContraction:
         assert drops.shape == (2,) and se.shape == (2,)
         assert_allclose(drops, [0.75, 0.75])
         assert rep.nonincreasing_from(1)
+
+
+class TestOneRealization:
+    def test_contraction_profile_needs_two_realizations(self):
+        with pytest.raises(ValueError, match="at least two realizations, got 1"):
+            picard.contraction_profile(
+                BOX, SPEC, 4.0, 0.1, n_iterates=3, n_realizations=1, seed=0
+            )

@@ -132,3 +132,46 @@ class TestRadialGaussianMoment:
         vals = radial_gaussian_moment(np.array([0.0, 1.0]), 1.0, 0, -0.999)
         assert np.all(np.isfinite(vals))
         assert np.all(vals > 0.0)
+
+
+class TestOrderSequences:
+    # the nine tilted orders of a quadratic observable against a BKW
+    # component at gamma = 0.5: (p, q), (p+1, q+1), (p, q+2) for each of
+    # (1, 1.5), (0, 2.5) and (2, 2.5)
+    PS = [1, 2, 1, 0, 1, 0, 2, 3, 2]
+    QS = [1.5, 2.5, 3.5, 2.5, 3.5, 4.5, 2.5, 3.5, 4.5]
+
+    @pytest.mark.parametrize("factor", [None, lambda r: np.exp(-0.3 * r * r)],
+                             ids=["plain", "radial_factor"])
+    def test_each_row_is_the_single_order_call(self, factor):
+        zn = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 7.0, 61)])
+        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS, n_nodes=120,
+                                      radial_factor=factor)
+        assert rows.shape == (9, len(zn))
+        for row, p, q in zip(rows, self.PS, self.QS):
+            one = radial_gaussian_moment(zn, 0.45, p, q, n_nodes=120,
+                                         radial_factor=factor)
+            assert row.tobytes() == one.tobytes(), (p, q)
+
+    def test_shared_table_rows_do_not_depend_on_pmax(self):
+        a = np.linspace(0.0, 3.0, 301)
+        full = sphere_exp_moments_scaled(a, 6)
+        for pmax in range(6):
+            part = sphere_exp_moments_scaled(a, pmax)
+            assert part.tobytes() == full[: pmax + 1].tobytes(), pmax
+
+    def test_return_types(self):
+        single = radial_gaussian_moment(1.3, 0.7, 2, 1.0)
+        assert type(single) is float
+        batch = radial_gaussian_moment(np.array([1.3]), 0.7, 2, 1.0)
+        assert batch.shape == (1,)
+        assert batch[0] == single
+        rows = radial_gaussian_moment(1.3, 0.7, [2, 0], [1.0, 2.0])
+        assert rows.shape == (2,)
+        assert rows[0] == single
+
+    def test_orders_are_checked(self):
+        with pytest.raises(ValueError, match="2 sphere orders but 1"):
+            radial_gaussian_moment(np.array([1.0]), 1.0, [0, 1], [1.0])
+        with pytest.raises(ValueError, match="exceed -3"):
+            radial_gaussian_moment(np.array([1.0]), 1.0, [0, 1], [1.0, -3.0])
