@@ -3,9 +3,9 @@
 The closed relaxing family interpolates between a flattened
 distribution and the Maxwellian while keeping its energy fixed; its
 fourth moment follows a known trajectory.  A tagged particle started
-in the bath law must reproduce that trajectory, and an independently
-integrated moment system predicts it without touching the closed
-form.  The script simulates the tagged particle and prints all three
+in the bath law must reproduce that trajectory, and the tagged
+particle's own moment system, solved independently, predicts it without
+touching the closed form.  The script simulates the tagged particle and prints all three
 curves side by side.
 """
 
@@ -34,20 +34,20 @@ def main():
     trajs, _ = simulate_ensemble(model, kernel, cfg, 717, n_paths)
 
     times = np.array([0.0, 0.3, 0.6, 0.9, 1.2, 1.5])
-    _, m4_ode = bkw_fourth_moment(times, kernel, vel_var=1.0, c0=c0)
+    _, m4_closure = bkw_fourth_moment(times, kernel, vel_var=1.0, c0=c0)
     k = 1.0 - c0 * np.exp(-rate * times)
     closed = 15.0 * k * (2.0 - k)
 
     print("fourth moment of the tagged velocity")
     print("   t    simulated (+-SE)     moment system   closed family")
-    for t, ode_val, closed_val in zip(times, m4_ode, closed):
+    for t, closure_val, closed_val in zip(times, m4_closure, closed):
         m4 = np.array(
             [(tr.velocity(t) ** 2).sum() ** 2 for tr in trajs]
         )
         se = m4.std(ddof=1) / math.sqrt(n_paths)
         print(
             f"  {t:4.2f}   {m4.mean():7.3f} +- {se:5.3f}     "
-            f"{ode_val:10.3f}     {closed_val:10.3f}"
+            f"{closure_val:10.3f}     {closed_val:10.3f}"
         )
     print("equilibrium value is 15 (the Maxwellian fourth moment)")
 

@@ -29,8 +29,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gammaln
 
 from .kernels import KernelSpec, angular_weighted_mass
 from .quadrature import gauss_hermite_3d, radial_gaussian_moment
@@ -65,8 +63,8 @@ def maxwell_abs_moment(variance, p):
     """
     if p <= -3.0:
         raise ValueError("moment order must exceed -3")
-    return (2.0 * variance) ** (p / 2.0) * math.exp(
-        gammaln((3.0 + p) / 2.0) - gammaln(1.5)
+    return (2.0 * variance) ** (p / 2.0) * (
+        math.gamma((3.0 + p) / 2.0) / math.gamma(1.5)
     )
 
 
@@ -727,6 +725,18 @@ def bkw_relaxation_rate(kernel: KernelSpec):
     return 2.0 * math.pi * kernel.c * (beta1 - beta2)
 
 
+def _decay_convolution(t, mu, ell):
+    """``int_0^t exp(-mu (t - u)) exp(-ell u) du`` for rates ``mu, ell >= 0``.
+
+    Taken as ``t exp(-min(mu, ell) t) phi(|mu - ell| t)`` with
+    ``phi(x) = (1 - exp(-x)) / x`` and ``phi(0) = 1``, which stays exact
+    as ``ell`` approaches ``mu``.
+    """
+    x = abs(mu - ell) * t
+    phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+    return t * np.exp(-min(mu, ell) * t) * phi
+
+
 def bkw_fourth_moment(
     times,
     kernel: KernelSpec,
@@ -750,23 +760,27 @@ def bkw_fourth_moment(
                   + (8 pi / 3)(b1 - b2) a2 m2 ]
 
     with ``b1 = \\int sin^2(theta/2) Q``, ``b2 = \\int sin^4(theta/2) Q``,
-    bath moments ``a2 = 3 s`` and ``a4(t) = 15 s^2 K (2 - K)``.  The
-    system is integrated with tight tolerances and gives an independent
-    prediction for simulated moments.
+    bath moments ``a2 = 3 s`` and ``a4(t) = 15 s^2 K (2 - K)``.  Solved
+    in closed form (``m2`` relaxes at ``2 pi c b1``, ``m4`` at
+    ``2 pi c (2 b1 - b2)`` under exponential forcing), it gives an
+    independent prediction for simulated moments.
 
     Parameters
     ----------
     times : array_like
-        Query times, nonnegative.
+        Query times, finite and nonnegative.
     kernel : KernelSpec
         Collision kernel; requires ``gamma == 0``.
     vel_var, c0 : float
-        Bath parameters (per-component variance and initial shape gap).
+        Bath parameters (per-component variance, positive, and initial
+        shape gap in ``(0, 2/5]``).
     m2_init, m4_init : float, optional
-        Tagged-particle moments at time zero.  Default to the bath's own
-        moments, the case of a particle started in the bath law.
+        Tagged-particle moments at time zero, finite and nonnegative.
+        Default to the bath's own moments, the case of a particle
+        started in the bath law.
     rate : float, optional
-        Bath relaxation rate; defaults to :func:`bkw_relaxation_rate`.
+        Bath relaxation rate, positive; defaults to
+        :func:`bkw_relaxation_rate`.
 
     Returns
     -------
@@ -778,49 +792,43 @@ def bkw_fourth_moment(
             "(gamma = 0)"
         )
     times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if times.size == 0 or (times < 0.0).any():
-        raise ValueError("query times must be nonnegative")
+    if times.size == 0 or not (np.isfinite(times) & (times >= 0.0)).all():
+        raise ValueError("query times must be finite and nonnegative")
     if rate is None:
         rate = bkw_relaxation_rate(kernel)
     s = float(vel_var)
+    a2 = 3.0 * s
+    b4 = 15.0 * s * s
+    m2_0 = a2 if m2_init is None else float(m2_init)
+    # a4(0), from a4(t) = 15 s^2 (1 - c0^2 exp(-2 rate t))
+    m4_0 = b4 * (1.0 - c0 * c0) if m4_init is None else float(m4_init)
+    for name, value, ok in (
+        ("vel_var", s, 0.0 < s < math.inf),
+        ("c0", c0, 0.0 < c0 <= 0.4),
+        ("rate", rate, 0.0 < rate < math.inf),
+        ("m2_init", m2_0, 0.0 <= m2_0 < math.inf),
+        ("m4_init", m4_0, 0.0 <= m4_0 < math.inf),
+    ):
+        if not ok:
+            raise ValueError(f"{name} = {value} is outside its range")
+
     beta1 = angular_weighted_mass(kernel, "sin2_half")
     beta2 = angular_weighted_mass(kernel, "sin4_half")
     c = kernel.c
-    a2 = 3.0 * s
-
-    def bath_m4(t):
-        k = 1.0 - c0 * np.exp(-rate * t)
-        return 15.0 * s * s * k * (2.0 - k)
-
-    if m2_init is None:
-        m2_init = a2
-    if m4_init is None:
-        m4_init = bath_m4(0.0)
-
-    def rhs(t, y):
-        m2, m4 = y
-        d2 = 2.0 * math.pi * c * beta1 * (a2 - m2)
-        d4 = c * (
-            4.0 * math.pi * beta1 * (a2 * m2 - m4)
-            + 2.0 * math.pi * beta2 * (bath_m4(t) - 2.0 * a2 * m2 + m4)
-            + (8.0 * math.pi / 3.0) * (beta1 - beta2) * a2 * m2
-        )
-        return [d2, d4]
-
-    t_end = float(times.max())
-    sol = solve_ivp(
-        rhs,
-        (0.0, max(t_end, 1e-12)),
-        [float(m2_init), float(m4_init)],
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-13,
-        dense_output=True,
+    lam = 2.0 * math.pi * c * beta1
+    mu = 2.0 * math.pi * c * (2.0 * beta1 - beta2)
+    # m4' = -mu m4 + kappa m2 + 2 pi c b2 a4(t), with m2 and a4 each a
+    # constant plus one exponential mode
+    kappa = (20.0 * math.pi / 3.0) * c * (beta1 - beta2) * a2
+    g_bath = 2.0 * math.pi * c * beta2 * b4
+    m2 = a2 + (m2_0 - a2) * np.exp(-lam * times)
+    m4 = (
+        m4_0 * np.exp(-mu * times)
+        + (kappa * a2 + g_bath) * _decay_convolution(times, mu, 0.0)
+        + kappa * (m2_0 - a2) * _decay_convolution(times, mu, lam)
+        - g_bath * c0 * c0 * _decay_convolution(times, mu, 2.0 * rate)
     )
-    if not sol.success:
-        raise RuntimeError(f"moment integration failed: {sol.message}")
-    vals = sol.sol(times)
-    return vals[0], vals[1]
+    return m2, m4
 
 
 @dataclass

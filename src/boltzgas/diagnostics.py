@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .densities import (
     GaussianProductModel,
@@ -302,15 +301,19 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
         # (yhat.what) |w| + |w|^2 exactly under v = y + w, so each order
         # (p, q) costs the three primitives (p, q), (p+1, q+1), (p, q+2).
         shifts = [(0, 0.0), (1, 1.0), (0, 2.0)] if comp.power2m else [(0, 0.0)]
-        ps = [p + dp for p, _ in orders for dp, _ in shifts]
-        qs = [q + dq for _, q in orders for _, dq in shifts]
+        wanted = [(p + dp, q + dq) for p, q in orders for dp, dq in shifts]
+        # the expansions share primitives, e.g. (1, gamma+3) comes from
+        # both (1, gamma+1) and (0, gamma+2); each is computed once
+        distinct = list(dict.fromkeys(wanted))
+        index = [distinct.index(pq) for pq in wanted]
+        ps, qs = zip(*distinct)
         moments = np.empty((len(orders), len(z)))
         # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per speed
         for rows in pair_blocks(len(z), n_nodes // 2 + n_nodes):
             r = y_norm[rows]
             t = radial_gaussian_moment(
                 r, s, ps, qs, n_nodes=n_nodes, radial_factor=radial_factor
-            )
+            )[index]
             if comp.power2m == 1:
                 t = (r * r * t[0::3] + 2.0 * r * t[1::3] + t[2::3]) / (3.0 * s)
             moments[:, rows] = t
@@ -764,7 +767,11 @@ def relative_entropy_kde(velocities, reference_variance, bandwidth=None):
         expo /= h * h
         rows = np.arange(n)[block]
         expo[rows - block.start, rows] = -np.inf
-        log_kde[block] = logsumexp(expo, axis=1) - log_norm
+        # log-sum-exp shifted by each row's largest exponent
+        shift = expo.max(axis=1)
+        expo -= shift[:, None]
+        np.exp(expo, out=expo)
+        log_kde[block] = np.log(expo.sum(axis=1)) + shift - log_norm
 
     terms = log_kde - log_ref
     value = float(np.mean(terms))

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "HARD_SPHERE",
@@ -235,20 +234,37 @@ def theta_first_moment(spec, epsilon=None):
     return float((np.pi ** (1.0 - nu) - eps ** (1.0 - nu)) / (1.0 - nu))
 
 
+def _power_law_cos_mass(eps, nu, a):
+    """``int_[eps, pi] (1 - cos(a theta)) theta**(-1-nu) dtheta``, ``a <= 2``.
+
+    The cosine series integrated term by term, ``sum_{k >= 1} (-1)^(k+1)
+    a^(2k) / (2k)! (pi^(2k-nu) - eps^(2k-nu)) / (2k - nu)``; by ``k = 30``
+    its terms are below 1e-30 of the largest.
+    """
+    k2 = 2.0 * np.arange(1, 31)
+    # (-1)^k (a pi)^(2k) / (2k)!
+    coef = np.cumprod(-((a * np.pi) ** 2) / ((k2 - 1.0) * k2))
+    log_ratio = np.log(eps / np.pi) if eps > 0.0 else -np.inf
+    # 1 - (eps/pi)^(2k-nu), accurate also for eps near pi
+    gap = -np.expm1((k2 - nu) * log_ratio)
+    return float(-(np.pi**-nu) * np.sum(coef * gap / (k2 - nu)))
+
+
 def angular_weighted_mass(spec, weight, epsilon=None):
     """Moments ``int_[eps, pi] weight(theta) Q(dtheta)`` used downstream.
 
-    ``weight`` is one of ``"sin2_half"`` (``sin^2(theta/2)``),
-    ``"sin4_half"`` (``sin^4(theta/2)``) or ``"sin_half"``
-    (``sin(theta/2)``).  Hard-sphere values are closed-form; power-law
-    values come from adaptive quadrature at relative 1e-12.
+    ``weight`` is ``"sin2_half"`` (``sin^2(theta/2)``) or ``"sin4_half"``
+    (``sin^4(theta/2)``).  Both are closed-form for hard sphere.  For
+    power law they are ``(1 - cos theta) / 2`` and
+    ``[4 (1 - cos theta) - (1 - cos 2 theta)] / 8``, whose moments are
+    cosine series integrated term by term.
 
     Returns
     -------
     float
     """
     eps = spec.epsilon if epsilon is None else float(epsilon)
-    if weight not in ("sin2_half", "sin4_half", "sin_half"):
+    if weight not in ("sin2_half", "sin4_half"):
         raise ValueError(f"unknown weight {weight!r}")
     if spec.angular == HARD_SPHERE:
         # With x = sin^2(theta/2), Q pushes forward to dx on [x0, 1],
@@ -256,16 +272,8 @@ def angular_weighted_mass(spec, weight, epsilon=None):
         x0 = np.sin(0.5 * eps) ** 2
         if weight == "sin2_half":
             return float(0.5 * (1.0 - x0**2))
-        if weight == "sin4_half":
-            return float((1.0 - x0**3) / 3.0)
-        # E[sqrt(x)] over dx: (2/3)(1 - x0^(3/2))
-        return float((2.0 / 3.0) * (1.0 - x0**1.5))
-    fn = {
-        "sin2_half": lambda t: np.sin(0.5 * t) ** 2 * t ** (-1.0 - spec.nu),
-        "sin4_half": lambda t: np.sin(0.5 * t) ** 4 * t ** (-1.0 - spec.nu),
-        "sin_half": lambda t: np.sin(0.5 * t) * t ** (-1.0 - spec.nu),
-    }[weight]
-    # The eps = 0 endpoint is an integrable algebraic singularity for
-    # nu < 1, which QAGS transforms away.
-    val, _err = quad(fn, eps, np.pi, epsabs=0.0, epsrel=1e-12, limit=200)
-    return float(val)
+        return float((1.0 - x0**3) / 3.0)
+    one = _power_law_cos_mass(eps, spec.nu, 1.0)
+    if weight == "sin2_half":
+        return 0.5 * one
+    return (4.0 * one - _power_law_cos_mass(eps, spec.nu, 2.0)) / 8.0

@@ -33,14 +33,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "gauss_legendre",
     "gauss_hermite_3d",
     "sphere_exp_moments_scaled",
     "radial_gaussian_moment",
-    "radial_gaussian_moment_adaptive",
 ]
 
 
@@ -206,25 +204,3 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
         return out
     return float(out[0]) if np.ndim(z_norm) == 0 else out[0]
 
-
-def radial_gaussian_moment_adaptive(z_norm, s, p, q, radial_factor=None):
-    """Adaptive-quadrature route to ``T_{p,q}`` for a scalar speed.
-
-    Slow but accurate to relative ~1e-12; used as the independent
-    cross-check of the fixed-node route.
-    """
-    zn = float(z_norm)
-    pref = 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
-
-    def integrand(r):
-        a = np.atleast_1d(zn * r / s)
-        mom = sphere_exp_moments_scaled(a, p)[p][0]
-        val = r ** (2.0 + q) * np.exp(-((r - zn) ** 2) / (2.0 * s)) * mom
-        if radial_factor is not None:
-            val = val * float(radial_factor(np.atleast_1d(r))[0])
-        return val
-
-    hi = zn + 16.0 * np.sqrt(s)
-    val, _err = quad(integrand, 0.0, hi, epsabs=1e-14, epsrel=1e-12,
-                     limit=400, points=[zn] if 0.0 < zn < hi else None)
-    return pref * val

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from boltzgas import densities
 from boltzgas.densities import (
@@ -24,7 +24,12 @@ from boltzgas.densities import (
     pair_sq_distances,
 )
 from boltzgas.engine import jump_intensity
-from boltzgas.kernels import HARD_SPHERE, POWER_LAW, KernelSpec
+from boltzgas.kernels import (
+    HARD_SPHERE,
+    POWER_LAW,
+    KernelSpec,
+    angular_weighted_mass,
+)
 from boltzgas.quadrature import gauss_hermite_3d
 from boltzgas.rng import stream
 
@@ -452,7 +457,144 @@ class TestMomentSuprema:
                 assert_allclose(bound, scan * (1.0 + 1e-9), rtol=1e-15, atol=0.0)
 
 
+def reference_bkw_moments(
+    times, kernel, vel_var=1.0, c0=0.4, m2_init=None, m4_init=None, rate=None
+):
+    """The moment closure of :func:`bkw_fourth_moment` integrated by DOP853.
+
+    The independent numerical route to the closed form, at ``rtol`` 1e-11
+    and ``atol`` 1e-13.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if rate is None:
+        rate = bkw_relaxation_rate(kernel)
+    s = float(vel_var)
+    beta1 = angular_weighted_mass(kernel, "sin2_half")
+    beta2 = angular_weighted_mass(kernel, "sin4_half")
+    c = kernel.c
+    a2 = 3.0 * s
+
+    def bath_m4(t):
+        k = 1.0 - c0 * np.exp(-rate * t)
+        return 15.0 * s * s * k * (2.0 - k)
+
+    if m2_init is None:
+        m2_init = a2
+    if m4_init is None:
+        m4_init = bath_m4(0.0)
+
+    def rhs(t, y):
+        m2, m4 = y
+        d2 = 2.0 * math.pi * c * beta1 * (a2 - m2)
+        d4 = c * (
+            4.0 * math.pi * beta1 * (a2 * m2 - m4)
+            + 2.0 * math.pi * beta2 * (bath_m4(t) - 2.0 * a2 * m2 + m4)
+            + (8.0 * math.pi / 3.0) * (beta1 - beta2) * a2 * m2
+        )
+        return [d2, d4]
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, max(float(times.max()), 1e-12)),
+        [float(m2_init), float(m4_init)],
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-13,
+        dense_output=True,
+    )
+    assert sol.success, sol.message
+    vals = sol.sol(times)
+    return vals[0], vals[1]
+
+
+def _fourth_moment_decay(kernel):
+    """``mu = 2 pi c (2 b1 - b2)``, the fourth moment's own decay rate."""
+    beta1 = angular_weighted_mass(kernel, "sin2_half")
+    beta2 = angular_weighted_mass(kernel, "sin4_half")
+    return 2.0 * math.pi * kernel.c * (2.0 * beta1 - beta2)
+
+
+CLOSURE_KERNELS = {
+    "hard_sphere": maxwell_kernel(c=0.8),
+    "power_law": KernelSpec(
+        gamma=0.0, c=1.3, angular=POWER_LAW, nu=0.5, epsilon=0.05
+    ),
+}
+
+
 class TestMomentOracle:
+    @pytest.mark.parametrize("family", sorted(CLOSURE_KERNELS))
+    @pytest.mark.parametrize(
+        "rate", ["default", "small", "large", "resonant", "near_resonant"]
+    )
+    @pytest.mark.parametrize("start", ["bath", "cold", "hot"])
+    def test_closed_form_matches_the_ode(self, family, rate, start):
+        kern = CLOSURE_KERNELS[family]
+        half_mu = 0.5 * _fourth_moment_decay(kern)
+        # resonant: the bath mode exp(-2 rate t) decays exactly like m4
+        rate = {
+            "default": None,
+            "small": 0.05,
+            "large": 20.0,
+            "resonant": half_mu,
+            "near_resonant": half_mu * (1.0 + 5e-10),
+        }[rate]
+        m2_init, m4_init = {
+            "bath": (None, None), "cold": (0.0, 0.0), "hot": (7.0, 60.0)
+        }[start]
+        ts = np.linspace(0.0, 6.0, 25)
+        args = dict(vel_var=1.3, c0=0.3, m2_init=m2_init, m4_init=m4_init,
+                    rate=rate)
+        m2, m4 = bkw_fourth_moment(ts, kern, **args)
+        m2_ode, m4_ode = reference_bkw_moments(ts, kern, **args)
+        assert_allclose(m2, m2_ode, rtol=1e-9)
+        assert_allclose(m4, m4_ode, rtol=1e-9)
+
+    @pytest.mark.parametrize("family", sorted(CLOSURE_KERNELS))
+    def test_closed_form_tracks_the_bath_to_rounding(self, family):
+        kern = CLOSURE_KERNELS[family]
+        model = BKWModel(side=1.0, vel_var=1.7, c0=0.35,
+                         rate=bkw_relaxation_rate(kern))
+        ts = np.linspace(0.0, 8.0, 33)
+        m2, m4 = bkw_fourth_moment(ts, kern, vel_var=1.7, c0=0.35)
+        closed = np.array([model.fourth_moment(t) for t in ts])
+        assert_allclose(m2, 3 * 1.7, rtol=1e-13)
+        assert_allclose(m4, closed, rtol=1e-13)
+
+    def test_long_times_reach_equilibrium_at_once(self):
+        s = 0.9
+        m2, m4 = bkw_fourth_moment([1e5, 1e300], maxwell_kernel(), vel_var=s)
+        assert_allclose(m2, 3 * s, rtol=1e-15)
+        assert_allclose(m4, 15 * s * s, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "times", [[np.nan], [0.5, np.nan], [np.inf]], ids=["nan", "tail", "inf"]
+    )
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            bkw_fourth_moment(times, maxwell_kernel())
+
+    @pytest.mark.parametrize("vel_var", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_vel_var(self, vel_var):
+        with pytest.raises(ValueError, match="vel_var"):
+            bkw_fourth_moment([0.1], maxwell_kernel(), vel_var=vel_var)
+
+    @pytest.mark.parametrize("c0", [0.0, -0.1, 0.41, np.nan])
+    def test_rejects_c0_outside_the_family(self, c0):
+        with pytest.raises(ValueError, match="c0"):
+            bkw_fourth_moment([0.1], maxwell_kernel(), c0=c0)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="rate"):
+            bkw_fourth_moment([0.1], maxwell_kernel(), rate=rate)
+
+    @pytest.mark.parametrize("name", ["m2_init", "m4_init"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_initial_moments(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            bkw_fourth_moment([0.1], maxwell_kernel(), **{name: value})
+
     def test_matches_closed_family_when_started_in_it(self):
         # a tagged particle initialised in the relaxing bath law must
         # track the bath's own fourth moment exactly

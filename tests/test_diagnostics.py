@@ -532,13 +532,33 @@ class TestEntropy:
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
         expo = -0.5 * d2 / (h * h)
         np.fill_diagonal(expo, -np.inf)
-        log_kde = logsumexp(expo, axis=1) - (
+        shift = expo.max(axis=1)
+        log_kde = np.log(np.exp(expo - shift[:, None]).sum(axis=1)) + shift - (
             math.log(49) + 1.5 * math.log(2.0 * math.pi * h * h)
         )
         log_ref = -0.5 * np.sum(v * v, axis=1) - 1.5 * math.log(2.0 * math.pi)
         terms = log_kde - log_ref
         assert rep.value == float(np.mean(terms))
         assert rep.stderr == float(np.std(terms, ddof=1) / math.sqrt(50))
+
+    def test_matches_scipy_logsumexp(self):
+        # scipy's log-sum-exp, an independent route, agrees to rounding
+        rng = np.random.default_rng(13)
+        v = rng.normal(0.0, 1.2, size=(80, 3))
+        rep = relative_entropy_kde(v, reference_variance=1.0)
+        h = rep.bandwidth
+        d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
+        expo = -0.5 * d2 / (h * h)
+        np.fill_diagonal(expo, -np.inf)
+        log_kde = logsumexp(expo, axis=1) - (
+            math.log(79) + 1.5 * math.log(2.0 * math.pi * h * h)
+        )
+        log_ref = -0.5 * np.sum(v * v, axis=1) - 1.5 * math.log(2.0 * math.pi)
+        terms = log_kde - log_ref
+        assert_allclose(rep.value, np.mean(terms), rtol=1e-13)
+        assert_allclose(
+            rep.stderr, np.std(terms, ddof=1) / math.sqrt(80), rtol=1e-12
+        )
 
     def test_input_validation(self):
         v = np.zeros((5, 3))
@@ -683,6 +703,31 @@ class TestBatchedOrders:
         got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=level)
         want = reference_collision_action(
             bkw, GRAZING_KERNEL, psi, 0.3, z, level, 400
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_each_primitive_is_computed_once(self, monkeypatch):
+        # a quadratic on the tilted component expands into nine orders of
+        # which two repeat; each call asks for distinct orders only
+        calls = []
+
+        def recording(z_norm, s, p, q, **kwargs):
+            calls.append((len(z_norm), list(zip(p, q))))
+            return radial_gaussian_moment(z_norm, s, p, q, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "radial_gaussian_moment", recording)
+        bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
+        z = 1.2 * np.random.default_rng(32).standard_normal((3500, 3))
+        psi = Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])
+        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=1.5)
+        # two components, two pair blocks each
+        assert [(rows, len(orders)) for rows, orders in calls] == [
+            (3333, 3), (167, 3), (3333, 7), (167, 7)
+        ]
+        for _, orders in calls:
+            assert len(set(orders)) == len(orders)
+        want = reference_collision_action(
+            bkw, GRAZING_KERNEL, psi, 0.3, z, 1.5, 400
         )
         assert got.tobytes() == want.tobytes()
 

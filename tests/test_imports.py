@@ -6,6 +6,8 @@ names they read from ``boltzgas`` are checked here to exist and be public.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import boltzgas
@@ -132,3 +134,19 @@ def test_demos_and_benchmark_read_existing_public_names():
         )
     }
     assert offenders == {}
+
+
+def test_import_loads_numpy_only():
+    # scipy is a test dependency, never a runtime one
+    probe = (
+        "import sys, boltzgas; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE_DIR.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

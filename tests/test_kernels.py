@@ -190,15 +190,11 @@ class TestAngularMoments:
         assert_allclose(
             angular_weighted_mass(spec, "sin4_half"), 1.0 / 3.0, rtol=1e-15
         )
-        assert_allclose(
-            angular_weighted_mass(spec, "sin_half"), 2.0 / 3.0, rtol=1e-15
-        )
 
     def test_weighted_masses_against_quadrature(self):
         weights = {
             "sin2_half": lambda t: np.sin(t / 2) ** 2,
             "sin4_half": lambda t: np.sin(t / 2) ** 4,
-            "sin_half": lambda t: np.sin(t / 2),
         }
         for spec in (hard_sphere(epsilon=0.3), power_law(nu=0.4, epsilon=0.03)):
             for name, w in weights.items():
@@ -211,6 +207,24 @@ class TestAngularMoments:
                     angular_weighted_mass(spec, name), val, rtol=1e-9
                 )
 
+    @pytest.mark.parametrize("nu", [0.01, 0.3, 0.7, 0.99])
+    def test_power_law_series_against_quadrature(self, nu):
+        # the cosine series over the grazing range and up to eps near pi
+        for eps in (0.0, 1e-12, 1e-3, 0.5, 2.0, 3.14):
+            spec = power_law(nu=nu, epsilon=max(eps, 1e-3))
+            for name, k in (("sin2_half", 2), ("sin4_half", 4)):
+                val, _ = quad(
+                    lambda t: np.sin(t / 2) ** k * t ** (-1.0 - nu),
+                    eps, np.pi, epsabs=0.0, epsrel=1e-13, limit=400,
+                )
+                assert_allclose(
+                    angular_weighted_mass(spec, name, epsilon=eps), val,
+                    rtol=1e-12, err_msg=f"{name} nu={nu} eps={eps}",
+                )
+
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
             angular_weighted_mass(hard_sphere(), "cos_half")
+        for spec in (hard_sphere(), power_law(nu=0.5, epsilon=0.05)):
+            with pytest.raises(ValueError):
+                angular_weighted_mass(spec, "sin_half")

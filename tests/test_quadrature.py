@@ -9,9 +9,31 @@ from boltzgas.quadrature import (
     gauss_hermite_3d,
     gauss_legendre,
     radial_gaussian_moment,
-    radial_gaussian_moment_adaptive,
     sphere_exp_moments_scaled,
 )
+
+
+def radial_gaussian_moment_adaptive(z_norm, s, p, q, radial_factor=None):
+    """Adaptive-quadrature route to ``T_{p,q}`` for a scalar speed.
+
+    Slow but accurate to relative ~1e-12; the independent cross-check
+    of the fixed-node route.
+    """
+    zn = float(z_norm)
+    pref = 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
+
+    def integrand(r):
+        a = np.atleast_1d(zn * r / s)
+        mom = sphere_exp_moments_scaled(a, p)[p][0]
+        val = r ** (2.0 + q) * np.exp(-((r - zn) ** 2) / (2.0 * s)) * mom
+        if radial_factor is not None:
+            val = val * float(radial_factor(np.atleast_1d(r))[0])
+        return val
+
+    hi = zn + 16.0 * np.sqrt(s)
+    val, _err = quad(integrand, 0.0, hi, epsabs=1e-14, epsrel=1e-12,
+                     limit=400, points=[zn] if 0.0 < zn < hi else None)
+    return pref * val
 
 
 class TestGaussLegendre:
