@@ -215,20 +215,12 @@ class DensityModel(ABC):
     def velocity_marginal(self, t, v):
         """Marginal ``m(t, v) = \\int f(t, x, v) dx``."""
 
+    @abstractmethod
     def conditional(self, t, x, v):
         """Positional conditional ``f(t, x | v)``; ``t`` is a scalar or per row.
 
         Defined where ``m(t, v) > 0``, as every candidate velocity is.
-        This base form, joint over marginal and zero where the marginal
-        vanishes, takes per-row times only if both of those do.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        joint = self.evaluate(t, x, v)
-        marg = self.velocity_marginal(t, v)
-        out = np.zeros_like(joint)
-        np.divide(joint, marg, out=out, where=marg > 0.0)
-        return out
 
     @abstractmethod
     def conditional_sup(self, horizon):
@@ -384,8 +376,8 @@ class GaussianProductModel(RadialMixtureModel):
     """
 
     def __init__(self, vel_var=1.0, pos_var=1.0, drift="static"):
-        if vel_var <= 0.0 or pos_var <= 0.0:
-            raise ValueError("variances must be positive")
+        if not (0.0 < vel_var < math.inf and 0.0 < pos_var < math.inf):
+            raise ValueError("variances must be positive and finite")
         if drift not in ("static", "free_transport"):
             raise ValueError(f"unknown drift mode {drift!r}")
         self.vel_var = float(vel_var)
@@ -441,8 +433,8 @@ class RadialBoxModel(RadialMixtureModel):
     """
 
     def __init__(self, side, vel_var):
-        if side <= 0.0 or vel_var <= 0.0:
-            raise ValueError("box side and velocity variance must be positive")
+        if not (0.0 < side < math.inf and 0.0 < vel_var < math.inf):
+            raise ValueError("side and vel_var must be positive and finite")
         self.side = float(side)
         self.vel_var = float(vel_var)
         self.box_side = self.side
@@ -510,8 +502,8 @@ class BKWModel(RadialBoxModel):
         super().__init__(side, vel_var)
         if not 0.0 < c0 <= 0.4:
             raise ValueError("c0 must lie in (0, 2/5] for a nonnegative density")
-        if rate <= 0.0:
-            raise ValueError("relaxation rate must be positive")
+        if not 0.0 < rate < math.inf:
+            raise ValueError("relaxation rate must be positive and finite")
         self.c0 = float(c0)
         self.rate = float(rate)
         self._last_mixture = (None, ())
@@ -564,11 +556,11 @@ class MollifiedEmpiricalModel(DensityModel):
             raise ValueError("velocities must match positions in shape")
         if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
             raise ValueError("particle states must be finite")
-        if h_x <= 0.0 or h_v <= 0.0:
-            raise ValueError("mollifier widths must be positive")
+        if not (0.0 < h_x < math.inf and 0.0 < h_v < math.inf):
+            raise ValueError("mollifier widths must be positive and finite")
         if side is not None:
-            if side <= 0.0:
-                raise ValueError("box side must be positive")
+            if not 0.0 < side < math.inf:
+                raise ValueError("box side must be positive and finite")
             if h_x > side / 8.0:
                 raise ValueError("spatial width too large for the periodic box")
             positions = wrap_position(positions, side)
@@ -730,11 +722,15 @@ def _decay_convolution(t, mu, ell):
 
     Taken as ``t exp(-min(mu, ell) t) phi(|mu - ell| t)`` with
     ``phi(x) = (1 - exp(-x)) / x`` and ``phi(0) = 1``, which stays exact
-    as ``ell`` approaches ``mu``.
+    as ``ell`` approaches ``mu``.  Where ``|mu - ell| t`` overflows to
+    infinity, ``t phi`` has reached its limit ``1 / |mu - ell|``.
     """
     x = abs(mu - ell) * t
     phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
-    return t * np.exp(-min(mu, ell) * t) * phi
+    out = t * np.exp(-min(mu, ell) * t) * phi
+    past = np.isinf(x)
+    out[past] = np.exp(-min(mu, ell) * t[past]) / abs(mu - ell)
+    return out
 
 
 def bkw_fourth_moment(
@@ -821,13 +817,16 @@ def bkw_fourth_moment(
     # constant plus one exponential mode
     kappa = (20.0 * math.pi / 3.0) * c * (beta1 - beta2) * a2
     g_bath = 2.0 * math.pi * c * beta2 * b4
-    m2 = a2 + (m2_0 - a2) * np.exp(-lam * times)
-    m4 = (
-        m4_0 * np.exp(-mu * times)
-        + (kappa * a2 + g_bath) * _decay_convolution(times, mu, 0.0)
-        + kappa * (m2_0 - a2) * _decay_convolution(times, mu, lam)
-        - g_bath * c0 * c0 * _decay_convolution(times, mu, 2.0 * rate)
-    )
+    # near the float limit a rate times a time overflows to infinity,
+    # where its mode has decayed to zero
+    with np.errstate(over="ignore"):
+        m2 = a2 + (m2_0 - a2) * np.exp(-lam * times)
+        m4 = (
+            m4_0 * np.exp(-mu * times)
+            + (kappa * a2 + g_bath) * _decay_convolution(times, mu, 0.0)
+            + kappa * (m2_0 - a2) * _decay_convolution(times, mu, lam)
+            - g_bath * c0 * c0 * _decay_convolution(times, mu, 2.0 * rate)
+        )
     return m2, m4
 
 

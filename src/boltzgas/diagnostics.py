@@ -95,16 +95,6 @@ class TestFunction:
     def value(self, x, z):
         raise NotImplementedError
 
-    def grad_x(self, x, z):
-        """Spatial gradient, zero for velocity-only observables."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return np.zeros_like(x)
-
-    def grad_z(self, x, z):
-        """Velocity gradient, zero for position-only observables."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return np.zeros_like(z)
-
     @property
     def collision_active(self):
         """Whether collisions move this observable at all."""
@@ -136,11 +126,9 @@ class Quadratic(TestFunction):
     def value(self, x, z):
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         quad = np.einsum("ni,ij,nj->n", z, self.quad_matrix, z)
-        return quad + z @ self.lin_vector + self.offset
-
-    def grad_z(self, x, z):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return 2.0 * z @ self.quad_matrix + self.lin_vector
+        # vecdot rounds each row alike however many rows there are; a
+        # BLAS matrix-vector product does not
+        return quad + np.vecdot(z, self.lin_vector) + self.offset
 
 
 class Constant(Quadratic):
@@ -180,8 +168,6 @@ class CompactBump(TestFunction):
     """
 
     kind = "compact_bump"
-    quad_matrix = None
-    lin_vector = None
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=np.float64).reshape(3)
@@ -193,18 +179,6 @@ class CompactBump(TestFunction):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         r = np.linalg.norm(x - self.center, axis=1)
         return smooth_bump(r / self.radius)
-
-    def grad_x(self, x, z):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        delta = x - self.center
-        u2 = np.sum(delta * delta, axis=1) / self.radius**2
-        out = np.zeros_like(delta)
-        inside = u2 < 1.0
-        if np.any(inside):
-            u2 = u2[inside]
-            slope = -2.0 * _bump_sq(u2) / (1.0 - u2) ** 2 / self.radius**2
-            out[inside] = slope[:, None] * delta[inside]
-        return out
 
 
 @dataclass
@@ -258,9 +232,10 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
         int [psi(z + a) - psi(z)] sigma(|v - y|) m(v) dv Q(dtheta) dphi
 
     where ``y`` is ``z`` pulled back to the ball of radius ``level``
-    (``y = z`` when ``level`` is None), ``a`` is the deflection built
-    from ``(y, v)``, ``psi(z) = z^T A z + b.z`` and ``m`` is the mixture
-    described by ``components``.  The phi integral leaves first and
+    (one radius for all rows or one per row; ``y = z`` when ``level``
+    is None), ``a`` is the deflection built from ``(y, v)``,
+    ``psi(z) = z^T A z + b.z`` and ``m`` is the mixture described by
+    ``components``.  The phi integral leaves first and
     second moments of the deflection; the theta integral contributes
     the ``sin^2`` and ``sin^4`` half-angle masses; the velocity
     integral reduces to radial primitives at base speed ``|y|``.
@@ -284,7 +259,7 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
     gamma = kernel.gamma
     tr_a = float(np.trace(A))
     zaz = np.einsum("ni,ij,nj->n", zhat, A, zhat)
-    bz = zhat @ b
+    bz = np.vecdot(zhat, b)
     quadratic = bool(np.any(A != 0.0))
     orders = [(1, gamma + 1.0)]
     if quadratic:
@@ -347,9 +322,9 @@ def collision_action(model, kernel, psi, t, z, level=None, n_nodes=400):
         Time at which the background mixture is read.
     z : array_like, shape (n, 3)
         Tagged velocities.
-    level : float, optional
-        Truncation level of the dynamics that produced ``z``; None
-        means the untruncated map.
+    level : float or array_like, optional
+        Truncation level of the dynamics that produced ``z``, one for
+        all rows or one per row; None means the untruncated map.
     """
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if psi.quad_matrix is None:
@@ -453,10 +428,11 @@ def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=400
 
         2 pi c beta1 / side^3 * (2 |z| T_{1, g+1}(|y|) + T_{0, g+2}(|y|)),
 
-    where ``y`` is ``z`` pulled back to the ball of radius ``level``;
-    ``|z|`` stays because ``|z + a|^2 - |z|^2 = 2 z.a + |a|^2``.  It is
-    positive for particles slower than the bath and negative for faster
-    ones, so a cold ensemble heats and a hot one cools.  Averaging the
+    where ``y`` is ``z`` pulled back to the ball of radius ``level``
+    (one radius for all rows or one per row); ``|z|`` stays because
+    ``|z + a|^2 - |z|^2 = 2 z.a + |a|^2``.  It is positive for particles
+    slower than the bath and negative for faster ones, so a cold
+    ensemble heats and a hot one cools.  Averaging the
     returned values over an ensemble gives the quadrature side of the
     energy-evolution check; the other side is a finite difference of
     the simulated mean energy.
@@ -559,14 +535,10 @@ def weak_residual(
         ends[starts[1:] - 1] = horizon
         lengths = np.minimum(ends, horizon) - times
         seg = times < horizon
-        z_seg, lvl_seg = velocities[seg], levels[seg]
-        action = np.zeros(len(z_seg))
-        for lvl in np.unique(lvl_seg):
-            sel = lvl_seg == lvl
-            action[sel] = collision_action(
-                model, kernel, psi, 0.0, z_seg[sel], level=float(lvl),
-                n_nodes=n_nodes,
-            )
+        action = collision_action(
+            model, kernel, psi, 0.0, velocities[seg], level=levels[seg],
+            n_nodes=n_nodes,
+        )
         collision = np.bincount(
             path_of[seg], weights=lengths[seg] * action, minlength=n
         )
@@ -832,7 +804,7 @@ def exit_statistics(sup_speeds, thresholds):
     if len(sup_speeds) == 0:
         raise ValueError("empty ensemble")
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64).ravel())
-    if np.any(thresholds <= 0.0):
+    if not np.all(thresholds > 0.0):
         raise ValueError("thresholds must be positive")
     probs = np.array([np.mean(sup_speeds > j) for j in thresholds])
     mean_sup = float(np.mean(sup_speeds))

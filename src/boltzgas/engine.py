@@ -156,7 +156,7 @@ class Trajectory:
 
     def _segment(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if np.any((t < 0.0) | (t > self.horizon)):
+        if not np.all((t >= 0.0) & (t <= self.horizon)):
             raise ValueError("query time outside [0, horizon]")
         return np.minimum(
             np.searchsorted(self.times, t, side="right") - 1, len(self.times) - 1

@@ -138,7 +138,8 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
     Computes ``int |w|^q ((z/|z|) . (w/|w|))^p M(z + w; s) dw`` for a
     batch of speeds ``|z|``.  The radial integrand is a Gaussian bump
     centered at ``r = |z|`` of width ``sqrt(s)``; the node window covers
-    ``[0, |z| + 14 sqrt(s)]``.  Several orders share the nodes, the
+    ``[0, max |z| + 14 sqrt(s)]``, the only way a speed's value depends
+    on the other speeds of the call.  Several orders share the nodes, the
     Gaussian factor and one sphere-moment table up to the largest ``p``.
 
     Parameters
@@ -197,7 +198,9 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
         vals = r ** (2.0 + qi) * expo * mom[pi]
         if radial_factor is not None:
             vals = vals * factor
-        row[:] = pref * vals @ wts
+        # vecdot rounds each speed's sum alike however many speeds there
+        # are; a BLAS matrix-vector product does not
+        row[:] = np.vecdot(pref * vals, wts)
     if np.ndim(z_norm) == 0:
         out = out[:, 0]
     if orders:

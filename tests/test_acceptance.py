@@ -471,20 +471,20 @@ def test_criterion_12_relaxing_bath_moments():
     rate = bkw_relaxation_rate(MAXWELL)
     model = BKWModel(side=1.0, vel_var=1.0, c0=c0, rate=rate)
     times = np.array([0.2, 0.4, 0.6, 0.8, 1.0])
-    _, m4_ode = bkw_fourth_moment(times, MAXWELL, vel_var=1.0, c0=c0)
+    _, m4_closed = bkw_fourth_moment(times, MAXWELL, vel_var=1.0, c0=c0)
 
     # the bath's own fourth moment must ride the closed family, which
     # pins the self-consistent relaxation rate used above
     k = 1.0 - c0 * np.exp(-rate * times)
     family = 15.0 * k * (2.0 - k)
-    self_gap = float(np.abs(m4_ode - family).max())
+    self_gap = float(np.abs(m4_closed - family).max())
 
     n_paths = 8000
     cfg = SimConfig(horizon=1.0, level=8.0, escalate=True)
     trajs, _ = simulate_ensemble(model, MAXWELL, cfg, 1212, n_paths)
     n_fail = 0
     rows = []
-    for t, target in zip(times, m4_ode):
+    for t, target in zip(times, m4_closed):
         speeds_sq = np.array(
             [(tr.velocity(t) ** 2).sum() for tr in trajs]
         )
@@ -496,7 +496,7 @@ def test_criterion_12_relaxing_bath_moments():
         rows.append(f"t={t}: |{m4.mean():.3f}-{target:.3f}|<={band:.3f}")
     ok = n_fail == 0 and self_gap <= 1e-8
     detail = (
-        "fourth moment in a relaxing bath vs integrated moment system "
+        "fourth moment in a relaxing bath vs closed-form moment closure "
         f"({n_fail} of 5 times outside 3 SE; {'; '.join(rows)}); "
         f"closed-family self-consistency {self_gap:.1e} <= 1e-8"
     )

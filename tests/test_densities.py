@@ -1,6 +1,8 @@
 """Density models: closed moments, samplers, certified bounds, oracles."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from boltzgas.kernels import (
 )
 from boltzgas.quadrature import gauss_hermite_3d
 from boltzgas.rng import stream
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 
 
 def maxwell_kernel(c=1.0):
@@ -116,8 +120,20 @@ class TestGaussianProductModel:
         with pytest.raises(ValueError):
             GaussianProductModel(drift="ballistic")
 
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["vel_var", "pos_var"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianProductModel(**{name: value})
+
 
 class TestBoxMaxwellianModel:
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["side", "vel_var"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            BoxMaxwellianModel(**{name: value})
+
     def test_uniform_in_space(self):
         model = BoxMaxwellianModel(side=2.0, vel_var=1.0)
         v = np.array([[0.3, 0.1, -0.2]])
@@ -214,6 +230,12 @@ class TestBKWModel:
         with pytest.raises(ValueError):
             BKWModel(c0=0.2, rate=0.0)
 
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["side", "vel_var", "rate"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            BKWModel(**{name: value})
+
 
 class TwoVarianceBox(RadialBoxModel):
     """Plain Gaussian plus a |v|^2-tilted Gaussian of another variance."""
@@ -228,6 +250,9 @@ class TwoVarianceBox(RadialBoxModel):
 class TestRadialMixture:
     def setup_method(self):
         self.model = TwoVarianceBox()
+
+    def test_conditional_has_no_base_form(self):
+        assert "conditional" in densities.DensityModel.__abstractmethods__
 
     def test_marginal_integrates_to_one(self):
         nodes, weights = gauss_hermite_3d(40, 1.8)
@@ -567,6 +592,21 @@ class TestMomentOracle:
         assert_allclose(m2, 3 * s, rtol=1e-15)
         assert_allclose(m4, 15 * s * s, rtol=1e-15)
 
+    @pytest.mark.parametrize("c", [1.0, 1e9])
+    @pytest.mark.parametrize("start", [None, (0.5, 2.0)], ids=["bath", "cold"])
+    def test_times_at_the_float_limit_reach_equilibrium(self, c, start):
+        # rate * t overflows there; every mode has decayed to zero
+        s = 0.9
+        m2_init, m4_init = (None, None) if start is None else start
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m2, m4 = bkw_fourth_moment(
+                [1e308, sys.float_info.max], maxwell_kernel(c), vel_var=s,
+                m2_init=m2_init, m4_init=m4_init,
+            )
+        assert_allclose(m2, 3 * s, rtol=1e-15)
+        assert_allclose(m4, 15 * s * s, rtol=1e-14)
+
     @pytest.mark.parametrize(
         "times", [[np.nan], [0.5, np.nan], [np.inf]], ids=["nan", "tail", "inf"]
     )
@@ -633,6 +673,17 @@ class TestMomentOracle:
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
             bkw_fourth_moment([-0.1], maxwell_kernel())
+
+
+def joint_over_marginal(model, t, x, v):
+    """``f(t, x | v)`` as joint over marginal, zero where the marginal vanishes."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    joint = model.evaluate(t, x, v)
+    marg = model.velocity_marginal(t, v)
+    out = np.zeros_like(joint)
+    np.divide(joint, marg, out=out, where=marg > 0.0)
+    return out
 
 
 class TestMollifiedEmpiricalModel:
@@ -708,7 +759,7 @@ class TestMollifiedEmpiricalModel:
         v = model.sample_velocity(0.0, rng, 400)
         # far rows where the marginal underflows to zero
         v[::50] = 60.0
-        base = densities.DensityModel.conditional
+        base = joint_over_marginal
         cond = model.conditional(0.0, x, v)
         assert np.count_nonzero(cond == 0.0) >= 8
         assert np.array_equal(cond, base(model, 0.0, x, v))
@@ -765,6 +816,13 @@ class TestMollifiedEmpiricalModel:
             MollifiedEmpiricalModel(
                 np.zeros((5, 3)), np.zeros((5, 3)), 0.5, 0.1, side=1.0
             )
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["h_x", "h_v", "side"])
+    def test_rejects_non_finite_parameters(self, name, value):
+        args = {"h_x": 0.1, "h_v": 0.1, "side": 2.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            MollifiedEmpiricalModel(np.zeros((5, 3)), np.zeros((5, 3)), **args)
 
 
 class TestPairKernel:

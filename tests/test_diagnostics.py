@@ -1,5 +1,6 @@
 """Tests for weak-form residuals, entropy and exit diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -114,8 +115,6 @@ class TestObservables:
         psi = LinearMomentum([0.0, 2.0, -1.0])
         z = np.array([[1.0, 2.0, 3.0]])
         assert_allclose(psi.value(None, z), [1.0])
-        assert_allclose(psi.grad_z(None, z), [[0.0, 2.0, -1.0]])
-        assert_allclose(psi.grad_x(np.zeros((1, 3)), z), 0.0)
         assert psi.collision_active
 
     def test_energy_matches_identity_quadratic(self):
@@ -124,7 +123,13 @@ class TestObservables:
         ener = Energy()
         quad = Quadratic(np.eye(3))
         assert_allclose(ener.value(None, z), quad.value(None, z), rtol=1e-15)
-        assert_allclose(ener.grad_z(None, z), quad.grad_z(None, z), rtol=1e-15)
+
+    def test_rows_equal_one_row_calls(self):
+        psi = Quadratic(MIXED_A, vector=[0.3, -1.1, 0.7], offset=0.2)
+        z = np.random.default_rng(6).normal(size=(49, 3))
+        rows = psi.value(None, z)
+        for k in range(len(z)):
+            assert rows[k] == psi.value(None, z[k : k + 1])[0], k
 
     def test_quadratic_symmetrises_matrix(self):
         a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -133,25 +138,10 @@ class TestObservables:
         z = np.array([[1.0, 2.0, 0.0]])
         assert_allclose(psi.value(None, z), [2.0])
 
-    def test_bump_gradient_matches_finite_differences(self):
-        psi = CompactBump(center=[0.5, -0.2, 0.1], radius=1.3)
-        rng = np.random.default_rng(3)
-        x = psi.center + 0.7 * rng.normal(size=(5, 3))
-        grad = psi.grad_x(x, None)
-        eps = 1e-6
-        for axis in range(3):
-            shift = np.zeros(3)
-            shift[axis] = eps
-            num = (
-                psi.value(x + shift, None) - psi.value(x - shift, None)
-            ) / (2.0 * eps)
-            assert_allclose(grad[:, axis], num, rtol=1e-6, atol=1e-8)
-
     def test_bump_outside_support_is_flat_zero(self):
         psi = CompactBump(center=np.zeros(3), radius=0.5)
         far = np.array([[2.0, 0.0, 0.0]])
         assert psi.value(far, None)[0] == 0.0
-        assert_allclose(psi.grad_x(far, None), 0.0)
         assert not psi.collision_active
 
     def test_bump_rejects_bad_radius(self):
@@ -594,6 +584,8 @@ class TestExitStatistics:
             exit_statistics([], [1.0])
         with pytest.raises(ValueError, match="positive"):
             exit_statistics([1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            exit_statistics([1.0], [np.nan])
 
 
 class TestMomentReport:
@@ -666,7 +658,7 @@ def reference_collision_action(model, kernel, psi, t, z, level, n_nodes):
     gamma = kernel.gamma
     tr_a = float(np.trace(A))
     zaz = np.einsum("ni,ij,nj->n", zhat, A, zhat)
-    bz = zhat @ b
+    bz = np.vecdot(zhat, b)
     total = np.zeros(len(z))
     for comp in model.radial_components(t):
         t1 = _tilted_moment(y_norm, comp, 1, gamma + 1.0, None, n_nodes)
@@ -732,14 +724,68 @@ class TestBatchedOrders:
         assert got.tobytes() == want.tobytes()
 
 
+BKW = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
+ROW_PSIS = [
+    Energy(),
+    LinearMomentum([0.3, -1.0, 0.2]),
+    Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1]),
+]
+
+
+class TestPerRowLevels:
+    @pytest.mark.parametrize("model", [BOX, BKW], ids=["box", "bkw"])
+    @pytest.mark.parametrize(
+        "kernel", [HS_KERNEL, GRAZING_KERNEL], ids=["hard_sphere", "grazing"]
+    )
+    @pytest.mark.parametrize("psi", ROW_PSIS, ids=lambda psi: psi.kind)
+    def test_matches_per_level_calls(self, model, kernel, psi):
+        # one call sets one radial node window for all rows, so the two
+        # routes agree to quadrature error, not bit for bit
+        rng = np.random.default_rng(34)
+        z = 1.6 * rng.standard_normal((600, 3))
+        levels = rng.integers(1, 9, size=len(z)).astype(np.float64)
+        got = collision_action(model, kernel, psi, 0.3, z, level=levels)
+        want = np.empty(len(z))
+        for lvl in np.unique(levels):
+            sel = levels == lvl
+            want[sel] = collision_action(model, kernel, psi, 0.3, z[sel], level=lvl)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_constant_rows_are_the_scalar_level(self):
+        z = np.random.default_rng(35).standard_normal((300, 3))
+        psi = Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])
+        scalar = collision_action(BKW, GRAZING_KERNEL, psi, 0.3, z, level=1.5)
+        rows = collision_action(
+            BKW, GRAZING_KERNEL, psi, 0.3, z, level=np.full(len(z), 1.5)
+        )
+        assert rows.tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("model", [BOX, BKW], ids=["box", "bkw"])
+    @pytest.mark.parametrize("psi", ROW_PSIS, ids=lambda psi: psi.kind)
+    def test_rows_of_one_speed_equal_one_row_calls(self, model, psi):
+        # signed permutations of one vector with exact squares have one
+        # speed, so every row shares the one-row call's node window and
+        # must be its own one-row call bit for bit
+        perms = np.array(list(itertools.permutations([0.5, 0.75, 1.0])))
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=3)))
+        z = (perms[:, None, :] * signs[None, :, :]).reshape(-1, 3)
+        assert len(set(np.linalg.norm(z, axis=1))) == 1
+        rows = collision_action(model, GRAZING_KERNEL, psi, 0.3, z, level=1.1)
+        for k in range(len(z)):
+            one = collision_action(
+                model, GRAZING_KERNEL, psi, 0.3, z[k], level=1.1
+            )
+            assert rows[k] == one[0], k
+
+
 def reference_weak_residual(
     trajectories, model, kernel, psi, horizon=None, collisions=True, n_nodes=400
 ):
     """``weak_residual`` path by path: clip each path's segments, then pool.
 
     Returns ``(lhs, rhs, stderr)``.  Rows reach ``collision_action`` in
-    the same order and level groups as in the one-table route, so the
-    two agree bit for bit.
+    one call and in the same order as in the one-table route, so the two
+    agree bit for bit.
     """
     horizon = trajectories[0].horizon if horizon is None else float(horizon)
     needs_action = collisions and psi.collision_active
@@ -766,15 +812,10 @@ def reference_weak_residual(
             seg_path.append(np.full(len(times), i))
     collision = np.zeros(n)
     if needs_action:
-        z_all = np.concatenate(seg_z)
-        lvl_all = np.concatenate(seg_lvl)
-        action = np.zeros(len(z_all))
-        for lvl in np.unique(lvl_all):
-            sel = lvl_all == lvl
-            action[sel] = collision_action(
-                model, kernel, psi, 0.0, z_all[sel], level=float(lvl),
-                n_nodes=n_nodes,
-            )
+        action = collision_action(
+            model, kernel, psi, 0.0, np.concatenate(seg_z),
+            level=np.concatenate(seg_lvl), n_nodes=n_nodes,
+        )
         collision = np.bincount(
             np.concatenate(seg_path),
             weights=np.concatenate(seg_len) * action,

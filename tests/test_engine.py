@@ -228,6 +228,13 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="horizon"):
             traj.velocity(-0.1)
 
+    def test_nan_query_rejected(self):
+        traj, _ = self._run()
+        with pytest.raises(ValueError, match="horizon"):
+            traj.position(np.nan)
+        with pytest.raises(ValueError, match="horizon"):
+            traj.velocity([0.2, np.nan])
+
     def test_vectorized_queries(self):
         traj, _ = self._run()
         ts = np.linspace(0.0, traj.horizon, 37)

@@ -175,6 +175,26 @@ class TestOrderSequences:
                                          radial_factor=factor)
             assert row.tobytes() == one.tobytes(), (p, q)
 
+    @pytest.mark.parametrize("factor", [None, lambda r: np.exp(-0.3 * r * r)],
+                             ids=["plain", "radial_factor"])
+    def test_each_speed_is_its_call_beside_the_fastest(self, factor):
+        # a speed's value depends on the other speeds only through the
+        # node window, which the fastest speed sets
+        zn = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 7.0, 61)])
+        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS, n_nodes=120,
+                                      radial_factor=factor)
+        for k in range(len(zn)):
+            pair = radial_gaussian_moment(zn[[k, -1]], 0.45, self.PS, self.QS,
+                                          n_nodes=120, radial_factor=factor)
+            assert pair[:, 0].tobytes() == rows[:, k].tobytes(), k
+        fastest = radial_gaussian_moment(zn[-1], 0.45, self.PS, self.QS,
+                                         n_nodes=120, radial_factor=factor)
+        assert fastest.tobytes() == rows[:, -1].tobytes()
+
+    def test_one_speed_call_matches_the_batch(self):
+        pair = radial_gaussian_moment(np.array([0.2, 1.3]), 0.7, 2, 1.0)
+        assert pair[1] == radial_gaussian_moment(1.3, 0.7, 2, 1.0)
+
     def test_shared_table_rows_do_not_depend_on_pmax(self):
         a = np.linspace(0.0, 3.0, 301)
         full = sphere_exp_moments_scaled(a, 6)
