@@ -18,6 +18,8 @@ dynamics against a prescribed background density:
 * :mod:`boltzgas.cli` -- the ``boltzgas`` command-line runner.
 """
 
+from types import ModuleType as _ModuleType
+
 from .geometry import (
     Frame,
     deflection_alpha,
@@ -105,79 +107,8 @@ from .diagnostics import (
 
 __version__ = "0.1.0"
 
+# the names imported above are the public ones; submodules stay attributes
 __all__ = [
-    "Frame",
-    "deflection_alpha",
-    "gamma",
-    "orthonormal_frame",
-    "post_collision",
-    "tanaka_rotation",
-    "HARD_SPHERE",
-    "POWER_LAW",
-    "KernelSpec",
-    "angular_mass",
-    "angular_weighted_mass",
-    "sample_theta",
-    "sigma",
-    "theta_first_moment",
-    "alpha_j",
-    "energy_defect",
-    "project_j",
-    "sigma_j",
-    "BKWModel",
-    "BoxMaxwellianModel",
-    "CertificationReport",
-    "DensityModel",
-    "GaussianProductModel",
-    "MollifiedEmpiricalModel",
-    "bkw_fourth_moment",
-    "bkw_relaxation_rate",
-    "certify_hypotheses",
-    "maxwell_abs_moment",
-    "stream",
-    "SimConfig",
-    "CandidateRecord",
-    "EventLog",
-    "Trajectory",
-    "Envelope",
-    "EnvelopeError",
-    "simulate",
-    "simulate_ensemble",
-    "FrozenNoise",
-    "PicardPath",
-    "frozen_noise",
-    "initial_iterate",
-    "picard_pass",
-    "picard_iterates",
-    "supremum_distance",
-    "ContractionReport",
-    "contraction_profile",
-    "ParticleEnsemble",
-    "default_bandwidths",
-    "maxwellian_ensemble",
-    "step_ensemble",
-    "evolve_ensemble",
-    "ensemble_energy_rate",
-    "TestFunction",
-    "Constant",
-    "LinearMomentum",
-    "Energy",
-    "Quadratic",
-    "CompactBump",
-    "ResidualReport",
-    "collision_action",
-    "collision_invariant_residual",
-    "energy_flow_values",
-    "energy_rhs_report",
-    "weak_residual",
-    "collision_symmetry_gap",
-    "EntropyReport",
-    "gaussian_kl",
-    "entropy_bias_budget",
-    "relative_entropy_kde",
-    "ExitReport",
-    "exit_statistics",
-    "MomentTable",
-    "moment_report",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

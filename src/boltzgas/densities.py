@@ -97,10 +97,14 @@ def _sample_radius(rng, n, variance, radial_power):
     return np.sqrt(variance * y)
 
 
-def _radial_vectors(rng, n, component, radial_offset):
-    """Draws with radial power ``2m + radial_offset`` for one component."""
+def _radial_vectors(rng, n, component, radial_offset, rows=slice(None)):
+    """Draws with radial power ``2m + radial_offset`` for one component.
+
+    A component read at one time per row draws for its ``rows``.
+    """
     power = 2 * component.power2m + radial_offset
-    r = _sample_radius(rng, n, component.variance, power)
+    variance = component.variance
+    r = _sample_radius(rng, n, variance[rows] if np.ndim(variance) else variance, power)
     return r[:, None] * _uniform_directions(rng, n)
 
 
@@ -109,13 +113,14 @@ def _fill_radial(out, u, probs, comps, rng, radial_offset, first):
 
     Component ``k`` takes the rows with ``S_{k+1} <= u < S_k``, where
     ``S_k = sum_{i>=k} p_i``; component 0 takes every row with ``u >= S_1``.
+    Weights and variances are scalars or one per row.
     """
     below = [u < sum(probs[k:]) for k in range(1, len(probs))]
     rows = [~below[0]] + [b & ~nb for b, nb in zip(below, below[1:])] + below[-1:]
     for k in range(first, len(comps)):
         cnt = np.count_nonzero(rows[k])
         if cnt:
-            out[rows[k]] = _radial_vectors(rng, cnt, comps[k], radial_offset)
+            out[rows[k]] = _radial_vectors(rng, cnt, comps[k], radial_offset, rows[k])
 
 
 def _gaussian_pdf_3d(delta, variance):
@@ -188,6 +193,7 @@ class RadialComponent:
 
     ``Z_m = E|V|^(2m)`` normalises the tilt, so each component is itself
     a probability density and the weights of a decomposition sum to one.
+    Read at one time per row, ``weight`` and ``variance`` may be arrays.
     """
 
     weight: float
@@ -199,9 +205,9 @@ class DensityModel(ABC):
     """Family ``f(t, x, v)`` with samplers and certified bounds.
 
     Array conventions: ``x`` and ``v`` are ``(n, 3)`` arrays (or single
-    ``(3,)`` vectors), ``t`` is a scalar; :meth:`conditional` also takes
-    one time per row.  Methods returning densities give one value per
-    row.
+    ``(3,)`` vectors), ``t`` is a scalar; :meth:`conditional`, the two
+    velocity samplers and :meth:`mean_speed` also take one time per row.
+    Methods returning densities give one value per row.
     """
 
     #: Period of the spatial box, or None for models on all of R^3.
@@ -228,18 +234,18 @@ class DensityModel(ABC):
 
     @abstractmethod
     def sample_velocity(self, t, rng, n):
-        """Draw ``n`` velocities from the marginal at time ``t``."""
+        """Draw ``n`` velocities from the marginal at time(s) ``t``."""
 
     @abstractmethod
     def sample_speed_tilted(self, t, rng, n):
-        """Draw from the speed-tilted marginal ``|v| m(t, v) / E|V|``."""
+        """Draw ``n`` from the speed-tilted marginal ``|v| m(t, v) / E|V|``."""
 
     @abstractmethod
     def sample_state(self, t, rng, n):
         """Draw ``(x, v)`` pairs from the joint density at time ``t``."""
 
     def mean_speed(self, t):
-        """Exact ``E|V|`` under the marginal at time ``t``."""
+        """Exact ``E|V|`` under the marginal at time(s) ``t``."""
         return self.speed_moment(t, 1)
 
     @abstractmethod
@@ -329,7 +335,8 @@ class RadialMixtureModel(DensityModel):
         comps = self.radial_components(t)
         u = rng.random(n) if len(comps) > 1 else None
         # A plain Gaussian draw for every row, then the others overwrite theirs.
-        out = math.sqrt(comps[0].variance) * rng.standard_normal((n, 3))
+        scale = np.sqrt(np.asarray(comps[0].variance))[..., np.newaxis]
+        out = scale * rng.standard_normal((n, 3))
         if u is not None:
             _fill_radial(out, u, [c.weight for c in comps], comps, rng, 2, first=1)
         return out
@@ -506,11 +513,11 @@ class BKWModel(RadialBoxModel):
             raise ValueError("relaxation rate must be positive and finite")
         self.c0 = float(c0)
         self.rate = float(rate)
-        self._last_mixture = (None, ())
 
     def shape_factor(self, t):
         """``K(t) = 1 - c0 exp(-rate t)``, increasing from ``1 - c0`` to 1."""
-        return 1.0 - self.c0 * math.exp(-self.rate * t)
+        decay = np.exp(-self.rate * t) if np.ndim(t) else math.exp(-self.rate * t)
+        return 1.0 - self.c0 * decay
 
     def fourth_moment(self, t):
         """Closed form ``E|V|^4 = 15 s^2 K(t) (2 - K(t))``."""
@@ -522,17 +529,12 @@ class BKWModel(RadialBoxModel):
         return 3.0 * self.vel_var * (1.0 + 1e-9)
 
     def radial_components(self, t):
-        # Each jump candidate reads the mixture several times at one time.
-        last_t, comps = self._last_mixture
-        if t != last_t:
-            k = self.shape_factor(t)
-            sk = self.vel_var * k
-            comps = (
-                RadialComponent((5.0 * k - 3.0) / (2.0 * k), sk, 0),
-                RadialComponent(3.0 * (1.0 - k) / (2.0 * k), sk, 1),
-            )
-            self._last_mixture = (t, comps)
-        return comps
+        k = self.shape_factor(t)
+        sk = self.vel_var * k
+        return (
+            RadialComponent((5.0 * k - 3.0) / (2.0 * k), sk, 0),
+            RadialComponent(3.0 * (1.0 - k) / (2.0 * k), sk, 1),
+        )
 
 
 class MollifiedEmpiricalModel(DensityModel):
@@ -680,11 +682,15 @@ class MollifiedEmpiricalModel(DensityModel):
         return float(self._tilt_masses.mean())
 
     def speed_moment(self, t, p):
+        if p == 2:
+            # E|v_i + h_v xi|^2 = |v_i|^2 + 3 h_v^2 in closed form
+            return float(np.mean(np.vecdot(self.velocities, self.velocities))
+                         + 3.0 * self.h_v**2)
         vals = radial_gaussian_moment(self._speeds, self.h_v**2, 0, p)
         return float(vals.mean())
 
     def _speed_moment_sup(self, p, horizon):
-        # frozen in time, and each read is a radial quadrature per particle
+        # frozen in time: one read serves the whole horizon
         return self.speed_moment(0.0, p)
 
     def gradient_moment_bound(self, horizon):

@@ -171,8 +171,8 @@ class CompactBump(TestFunction):
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=np.float64).reshape(3)
-        if radius <= 0.0:
-            raise ValueError("bump radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise ValueError("bump radius must be positive and finite")
         self.radius = float(radius)
 
     def value(self, x, z):
@@ -450,6 +450,8 @@ def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
     vals = energy_flow_values(model, kernel, velocities, t=t, level=level)
     n = len(vals)
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    # per-row levels go into the report as a list, which JSON can write
+    level = level if level is None else np.asarray(level, dtype=np.float64).tolist()
     return ResidualReport(
         operation="energy_exchange_rate",
         lhs=float(np.mean(vals)),
@@ -646,8 +648,8 @@ def collision_symmetry_gap(
 
 def gaussian_kl(var_num, var_den):
     """Closed relative entropy of centred isotropic Gaussians in 3-d."""
-    if var_num <= 0.0 or var_den <= 0.0:
-        raise ValueError("variances must be positive")
+    if not (0.0 < var_num < math.inf and 0.0 < var_den < math.inf):
+        raise ValueError("variances must be positive and finite")
     ratio = var_num / var_den
     return 1.5 * (ratio - 1.0 - math.log(ratio))
 
@@ -665,8 +667,8 @@ def entropy_bias_budget(n, relative_bandwidth):
     declared budget keeps a factor ~1.6 margin on top.  ``eta`` is the
     bandwidth in units of the per-axis sample deviation.
     """
-    if n < 2 or relative_bandwidth <= 0.0:
-        raise ValueError("need n >= 2 and a positive bandwidth")
+    if not (n >= 2 and 0.0 < relative_bandwidth < math.inf):
+        raise ValueError("need n >= 2 and a finite positive bandwidth")
     eta = float(relative_bandwidth)
     return 4.5 / (n * eta**3) + 1.1 * eta**4
 
@@ -716,14 +718,14 @@ def relative_entropy_kde(velocities, reference_variance, bandwidth=None):
     n = v.shape[0]
     if n < 10:
         raise ValueError("need at least 10 samples")
-    if reference_variance <= 0.0:
-        raise ValueError("reference variance must be positive")
+    if not 0.0 < reference_variance < math.inf:
+        raise ValueError("reference variance must be positive and finite")
     sample_std = float(np.sqrt(np.mean(np.var(v, axis=0, ddof=1))))
     if bandwidth is None:
         bandwidth = sample_std * n ** (-1.0 / 7.0)
     h = float(bandwidth)
-    if h <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
 
     log_ref = (
         -0.5 * np.sum(v * v, axis=1) / reference_variance

@@ -30,22 +30,35 @@ turning any bound violation into a hard failure instead of a silently
 wrong law.  Soft potentials (``gamma < 0``) admit no finite envelope of
 this form and are rejected.
 
+The envelope never reads the particle's state, so a path's candidates
+at one level are drawn ahead: in blocks sized by the path's own
+expected point count, from the path's own stream, in a fixed column
+order.  Only accept-and-kick is sequential, and only within a path.
+An ensemble is scanned one candidate slot at a time: each slot decides
+the next candidate of every live path in one row-wise intensity call
+and kicks the accepted rows in one more.  Every operation is row-wise,
+so a path simulated alone equals, bit for bit, the same path inside any
+ensemble.
+
 The truncation level can escalate: whenever a jump carries ``|Z|``
-beyond the current level the level grows by a fixed step and the
-candidate schedule is regenerated from the current time (a stopping
-time, so the restarted exponential clock is still exact).  Since the
-projection is the identity on ``|z| <= level``, the escalating process
-realizes the untruncated dynamics; with escalation off the process is
-the genuinely truncated one.
+beyond the current level the level grows by a fixed step, the rest of
+the path's candidates is discarded and new ones are drawn from the jump
+time (a stopping time, so the restarted exponential clock is still
+exact).  Since the projection is the identity on ``|z| <= level``, the
+escalating process realizes the untruncated dynamics; with escalation
+off the process is the genuinely truncated one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import row_norms
 from .kernels import angular_mass, sample_theta, sigma_weight
 from .rng import stream
 from .truncation import alpha_j, sigma_j
@@ -56,6 +69,7 @@ __all__ = [
     "EventLog",
     "Trajectory",
     "EnvelopeError",
+    "Candidates",
     "Envelope",
     "check_envelope",
     "jump_intensity",
@@ -63,6 +77,10 @@ __all__ = [
     "simulate",
     "simulate_ensemble",
 ]
+
+
+# Rows of one candidate block at most, which bounds a block's memory.
+_BLOCK_MAX = 1 << 16
 
 
 class EnvelopeError(RuntimeError):
@@ -88,7 +106,7 @@ class SimConfig:
         With ``False`` the particle free-streams (no jump schedule at
         all), which gives the exactly solvable transport benchmark.
     max_events : int
-        Guard on the total number of candidates per trajectory.
+        Guard on the clock points per trajectory, thinned ones included.
     """
 
     horizon: float
@@ -110,7 +128,7 @@ class SimConfig:
             raise ValueError("max_events must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateRecord:
     """One fully drawn candidate of the dominating process."""
 
@@ -128,8 +146,9 @@ class CandidateRecord:
 class EventLog:
     """Candidate bookkeeping for one trajectory.
 
-    The counters are always maintained; ``records`` holds the full
-    per-candidate draws only when the run was asked to keep them.
+    The counters are always kept; ``records`` holds the full
+    per-candidate draws, in time order, only when the run was asked to
+    keep them.
     """
 
     records: list[CandidateRecord] = field(default_factory=list)
@@ -186,6 +205,23 @@ class Trajectory:
         return float(np.linalg.norm(self.velocities, axis=1).max())
 
 
+class Candidates(NamedTuple):
+    """Marked clock points of one path at one level, as columns.
+
+    ``points[a]`` counts the path's clock points up to candidate ``a``,
+    thinned ones included; ``n_points`` counts them up to the horizon.
+    """
+
+    times: np.ndarray
+    velocities: np.ndarray
+    thetas: np.ndarray
+    phis: np.ndarray
+    thresholds: np.ndarray
+    bounds: np.ndarray
+    points: np.ndarray
+    n_points: int
+
+
 class Envelope:
     """The dominating Poisson measure up to ``horizon``.
 
@@ -224,76 +260,78 @@ class Envelope:
             * self.f_sup * w_bar
         )
 
-    def draw(self, t, level, rng):
-        """Thin the clock point at time ``t`` and mark it if it survives.
+    def candidates(self, t, level, rng, max_events=SimConfig.max_events, used=0):
+        """The candidates of the clock on ``(t, horizon)`` at a fixed ``level``.
 
-        Returns ``None`` for a thinned point, otherwise the marks
-        ``(v, theta, phi, r, bound)``: a velocity from the weighted
-        marginal ``W(v) m(t, v) / E[W]``, the angle pair, the envelope
-        ``bound = c W(v) F`` and a threshold ``r`` uniform under it.
+        The clock has exponential gaps at the constant :meth:`rate`; a
+        zero rate gives no point and draws nothing.  Its points come in
+        blocks of the expected count ``rate * (horizon - t)`` plus three
+        standard deviations, each block drawing its gaps, keep uniforms
+        and mixture-choice uniforms, then the velocities of the points
+        it keeps, then theta, phi and the thresholds.  ``used`` counts
+        the path's clock points before ``t``; raises ``RuntimeError``
+        when those and the points before the horizon exceed ``max_events``.
         """
-        # Null-thin the constant-rate clock down to the time-varying
-        # dominating rate 2 pi |Q| c F E[W](t).  The ratio depends only
-        # on time, never on the particle state, so the remaining points
-        # still form the wanted inhomogeneous Poisson process.
-        w_mean = self._weight(level, self.model.mean_speed(t))
+        rate = self.rate(level)
         w_bar = self._weight(level, self.speed_bound)
-        keep = w_mean / w_bar
-        if keep > 1.0 + 1e-9:
-            raise EnvelopeError(
-                f"mean envelope weight {w_mean} exceeds its horizon bound {w_bar}"
-            )
-        if rng.random() >= keep:
-            return None
+        blocks = [([], np.empty((0, 3)), [], [], [], [], np.empty(0, np.int64))]
+        n_points = used
+        while rate > 0.0:
+            mu = rate * (self.horizon - t)
+            size = min(int(mu + 3.0 * math.sqrt(mu)) + 1, _BLOCK_MAX)
+            clock = np.cumsum(np.append(t, rng.exponential(1.0 / rate, size)))[1:]
+            keep_u, mix_u = rng.random((2, size))
+            inside = int(np.searchsorted(clock, self.horizon))
+            if n_points + inside > max_events:
+                raise RuntimeError(f"candidate count exceeded max_events={max_events}")
 
+            # Null-thin the clock down to the time-varying dominating
+            # rate 2 pi |Q| c F E[W](t).  The ratio depends only on time,
+            # never on the particle state, so the remaining points still
+            # form the wanted inhomogeneous Poisson process.
+            s = clock[:inside]
+            w_mean = np.full(inside, self._weight(level, self.model.mean_speed(s)))
+            keep = w_mean / w_bar
+            if np.any(keep > 1.0 + 1e-9):
+                a = np.argmax(keep > 1.0 + 1e-9)
+                raise EnvelopeError(
+                    f"mean envelope weight {w_mean[a]} exceeds its horizon bound "
+                    f"{w_bar} at t={s[a]}"
+                )
+            kept = np.flatnonzero(keep_u[:inside] < keep)
+            marks = self._marks(s[kept], w_mean[kept], mix_u[kept], level, rng)
+            blocks.append((*marks, kept + 1 + n_points))
+            n_points += inside
+            if inside < size:
+                break
+            t = clock[-1]
+        return Candidates(*map(np.concatenate, zip(*blocks)), n_points)
+
+    def _marks(self, s, w_mean, mix_u, level, rng):
+        """Velocity, angles, threshold and bound of the kept points ``s``."""
         # The weighted marginal mixes the plain marginal (the constant
         # part of W) with the speed-tilted one.
-        if self.kernel.gamma == 0.0 or (
-            rng.random() * w_mean < self._weight(level, 0.0)
-        ):
-            v = self.model.sample_velocity(t, rng, 1)[0]
-        else:
-            v = self.model.sample_speed_tilted(t, rng, 1)[0]
-        theta = float(sample_theta(self.kernel, rng.random()))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        bound = self.kernel.c * self._weight(level, np.linalg.norm(v)) * self.f_sup
-        return v, theta, phi, rng.random() * bound, bound
-
-    def candidates(self, t, level, rng):
-        """The candidate clock on ``(t, horizon)``: ``(time, marks)`` pairs.
-
-        Exponential inter-arrivals at the constant :meth:`rate` give the
-        points and :meth:`draw` thins and marks each one (``marks`` is
-        ``None`` for a thinned point); a zero rate gives no point.
-        Sending a new level restarts the clock at the last point's time,
-        a stopping time.  Raises ``RuntimeError`` past
-        ``SimConfig.max_events`` points.
-        """
-        return self._clock(t, level, rng, SimConfig.max_events)
-
-    def _clock(self, t, level, rng, max_events):
-        """:meth:`candidates` with a cap of ``max_events`` points."""
-        rate = self.rate(level)
-        n = 0
-        while rate > 0.0:
-            t = t + rng.exponential(1.0 / rate)
-            if t >= self.horizon:
-                return
-            if n >= max_events:
-                raise RuntimeError(f"candidate count exceeded max_events={max_events}")
-            n += 1
-            new_level = yield t, self.draw(t, level, rng)
-            if new_level is not None:
-                level, rate = new_level, self.rate(new_level)
-                yield  # the reply to send(); iteration resumes with next()
+        plain = mix_u * w_mean < self._weight(level, 0.0)
+        v = np.empty((len(s), 3))
+        v[plain] = self.model.sample_velocity(s[plain], rng, np.count_nonzero(plain))
+        v[~plain] = self.model.sample_speed_tilted(
+            s[~plain], rng, len(s) - np.count_nonzero(plain)
+        )
+        thetas = sample_theta(self.kernel, rng.random(len(s)))
+        phis = rng.uniform(0.0, 2.0 * math.pi, len(s))
+        bounds = np.full(
+            len(s), self.kernel.c * self._weight(level, row_norms(v)) * self.f_sup
+        )
+        return s, v, thetas, phis, rng.random(len(s)) * bounds, bounds
 
 
 def jump_intensity(model, kernel, t, x, z, v, level, bound):
-    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of one candidate or rows.
+    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of rows of candidates.
 
-    ``t`` and ``bound`` are scalars or one per row.  The engine calls it
-    per candidate, a Picard pass once on all atoms.  Raises
-    :class:`EnvelopeError` naming the first row above its ``bound``.
+    ``t``, ``level`` and ``bound`` are scalars or one per row.  An
+    engine slot calls it once on its live paths, a Picard pass once on
+    all atoms.  Raises :class:`EnvelopeError` naming the first row above
+    its ``bound``.
     """
     intensity = sigma_j(kernel, z, v, level) * model.conditional(t, x, v)
     check_envelope(intensity, bound, t, level)
@@ -303,15 +341,15 @@ def jump_intensity(model, kernel, t, x, z, v, level, bound):
 def check_envelope(intensity, bound, t, level):
     """Raise :class:`EnvelopeError` where an intensity exceeds its bound.
 
-    Takes one candidate or rows of them, with ``bound`` and ``t`` per
-    row, and names the first offending row.  The relative slack of 1e-9
-    only absorbs roundoff.
+    Takes one candidate or rows of them, with ``bound``, ``t`` and
+    ``level`` per row, and names the first offending row.  The relative
+    slack of 1e-9 only absorbs roundoff.
     """
     over = intensity > bound * (1.0 + 1e-9)
     if np.count_nonzero(over):
         a = np.argmax(over)
-        intensity, bound, t = (
-            q[a] if np.ndim(q) else q for q in (intensity, bound, t)
+        intensity, bound, t, level = (
+            q[a] if np.ndim(q) else q for q in (intensity, bound, t, level)
         )
         raise EnvelopeError(
             f"jump intensity {intensity} exceeds envelope {bound} "
@@ -323,113 +361,23 @@ def initial_state(model, rng, x0=None, z0=None):
     """Initial pair ``(x0, z0)``; missing parts are drawn at time zero."""
     if x0 is None or z0 is None:
         xs, zs = model.sample_state(0.0, rng, 1)
-        x0 = xs[0] if x0 is None else np.asarray(x0, dtype=np.float64)
-        z0 = zs[0] if z0 is None else np.asarray(z0, dtype=np.float64)
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        z0 = np.asarray(z0, dtype=np.float64)
+        x0 = xs[0] if x0 is None else x0
+        z0 = zs[0] if z0 is None else z0
+    x0, z0 = (np.asarray(a, dtype=np.float64) for a in (x0, z0))
     if x0.shape != (3,) or z0.shape != (3,):
         raise ValueError("initial state must be a pair of 3-vectors")
     return x0, z0
 
 
 def simulate(model, kernel, config, rng, x0=None, z0=None, log_events=True):
-    """Run one trajectory of the jump process.
+    """One trajectory of the jump process: an ensemble of one on ``rng``.
 
-    Parameters
-    ----------
-    model : densities.DensityModel
-        Background density driving the collisions.
-    kernel : kernels.KernelSpec
-    config : SimConfig
-    rng : numpy.random.Generator
-        Source of all randomness for this trajectory.
-    x0, z0 : array_like (3,), optional
-        Initial state; defaults are drawn from the model at time zero.
-    log_events : bool
-        Keep per-candidate records (switch off for large ensembles).
-
-    Returns
-    -------
-    (Trajectory, EventLog)
+    ``x0`` and ``z0`` default to draws from the model at time zero, and
+    ``log_events`` keeps the per-candidate records.  Returns the
+    ``(Trajectory, EventLog)`` pair.
     """
-    envelope = Envelope(model, kernel, config.horizon) if config.collisions else None
-    return _simulate(model, envelope, config, rng, x0, z0, log_events)
-
-
-def _simulate(model, envelope, config, rng, x0, z0, log_events):
-    """One trajectory on a prebuilt envelope (``None``: free streaming)."""
-    x0, z0 = initial_state(model, rng, x0, z0)
-    horizon = config.horizon
-    level = config.level
-    if config.escalate:
-        while np.linalg.norm(z0) > level:
-            level += config.level_step
-
-    times = [0.0]
-    positions = [x0.copy()]
-    velocities = [z0.copy()]
-    levels = [level]
-    log = EventLog()
-
-    clock = () if envelope is None else envelope._clock(
-        0.0, level, rng, config.max_events
-    )
-    x = x0.copy()
-    z = z0.copy()
-    for t, marks in clock:
-        if marks is None:
-            log.n_skipped += 1
-            continue
-        log.n_candidates += 1
-
-        v, theta, phi, r, bound = marks
-        x_now = x + (t - times[-1]) * z
-        intensity = jump_intensity(
-            model, envelope.kernel, t, x_now, z, v, level, bound
-        )[0]
-        accepted = r < intensity
-        if accepted:
-            log.n_accepted += 1
-
-        if log_events:
-            log.records.append(
-                CandidateRecord(
-                    time=t,
-                    velocity=v.copy(),
-                    theta=theta,
-                    phi=float(phi),
-                    r=float(r),
-                    bound=float(bound),
-                    accepted=bool(accepted),
-                    level=level,
-                )
-            )
-        if not accepted:
-            continue
-
-        z = z + alpha_j(z, v, theta, phi, level)
-        x = x_now
-        times.append(t)
-        positions.append(x.copy())
-        velocities.append(z.copy())
-
-        if config.escalate and np.linalg.norm(z) > level:
-            while np.linalg.norm(z) > level:
-                level += config.level_step
-            # new envelope constants; the clock restarts at this jump
-            # time, which is a stopping time
-            clock.send(level)
-        levels.append(level)
-
-    traj = Trajectory(
-        np.array(times),
-        np.array(positions),
-        np.array(velocities),
-        np.array(levels, dtype=np.float64),
-        horizon,
-    )
-    return traj, log
+    trajs, logs = _lockstep(model, kernel, config, [rng], x0, z0, log_events)
+    return trajs[0], logs[0]
 
 
 def simulate_ensemble(
@@ -438,20 +386,116 @@ def simulate_ensemble(
     """Independent trajectories on per-index Philox streams.
 
     Trajectory ``i`` draws everything from ``stream(seed, i)``, so any
-    subset can be reproduced without replaying the rest.  The envelope
-    is built once and shared by every trajectory.
+    subset can be reproduced without replaying the rest: a path equals,
+    bit for bit, the same path simulated alone.  The envelope is built
+    once and shared by every trajectory.
 
     Returns
     -------
     (list[Trajectory], list[EventLog])
     """
+    rngs = [stream(seed, i) for i in range(n_paths)]
+    return _lockstep(model, kernel, config, rngs, x0, z0, log_events)
+
+
+def _escalated(level, z, step):
+    """``level`` raised by ``step`` until each row covers its speed ``|z|``."""
+    speed = row_norms(z)
+    while np.any(over := speed > level):
+        level[over] += step
+    return level
+
+
+def _lockstep(model, kernel, config, rngs, x0, z0, log_events):
+    """Trajectories and logs of the paths on ``rngs``, one candidate slot at a time.
+
+    Each slot decides the next candidate of every live path in one
+    :func:`jump_intensity` call and kicks the accepted rows in one
+    ``alpha_j`` call; all operations are row-wise.
+    """
+    n = len(rngs)
+    states = [initial_state(model, rng, x0, z0) for rng in rngs]
+    x, z = (np.reshape([s[i] for s in states], (n, 3)) for i in (0, 1))
+    level = np.full(n, float(config.level))
+    if config.escalate:
+        level = _escalated(level, z, config.level_step)
+    paths, t_last = np.arange(n), np.zeros(n)
+    # segment starts and visited candidates, appended in scan order
+    segments = [(paths, t_last.copy(), x.copy(), z.copy(), level.copy())]
+    visits = [(paths[:0], paths[:0], paths[:0] < 0, t_last[:0])]
     envelope = Envelope(model, kernel, config.horizon) if config.collisions else None
-    trajectories = []
-    logs = []
-    for i in range(n_paths):
-        traj, log = _simulate(
-            model, envelope, config, stream(seed, i), x0, z0, log_events
+    drawn = None  # every draw of every path, stacked in draw order
+    n_points = np.zeros(n, dtype=np.int64)
+
+    def draw(rows, times, levels):
+        """Draw for ``rows`` from ``times`` at ``levels``; return their row ranges."""
+        nonlocal drawn
+        fresh = [
+            envelope.candidates(t, j, rngs[i], config.max_events, n_points[i])
+            for i, t, j in zip(rows, times, levels)
+        ]
+        n_points[rows] = [c.n_points for c in fresh]
+        stacked = ([] if drawn is None else [drawn[:7]]) + [c[:7] for c in fresh]
+        drawn = Candidates(*map(np.concatenate, zip(*stacked)), None)
+        lengths = np.array([len(c.times) for c in fresh], dtype=np.intp)
+        starts = len(drawn.times) - np.cumsum(lengths[::-1])[::-1]
+        return starts, starts + lengths
+
+    k, stop = draw(paths, t_last, level) if envelope and n else (paths, paths)
+    while True:
+        live = k < stop
+        if not live.all():
+            paths, k, stop, x, z, t_last, level = (
+                a[live] for a in (paths, k, stop, x, z, t_last, level)
+            )
+        if not len(paths):
+            break
+        s, v = drawn.times[k], drawn.velocities[k]
+        x_now = x + (s - t_last)[:, np.newaxis] * z
+        accepted = drawn.thresholds[k] < jump_intensity(
+            model, kernel, s, x_now, z, v, level, drawn.bounds[k]
         )
-        trajectories.append(traj)
-        logs.append(log)
-    return trajectories, logs
+        visits.append((paths, k, accepted, level))
+        k = k + 1
+        hit = accepted.nonzero()[0]
+        if not len(hit):
+            continue
+        kh, s, x_now, z_now, lh = k[hit] - 1, s[hit], x_now[hit], z[hit], level[hit]
+        z_now = z_now + alpha_j(z_now, v[hit], drawn.thetas[kh], drawn.phis[kh], lh)
+        x[hit], z[hit], t_last[hit] = x_now, z_now, s
+        if config.escalate and np.any(up := row_norms(z_now) > lh):
+            lh = _escalated(lh, z_now, config.level_step)
+            level = level.copy()  # the visit above keeps the old levels
+            level[hit] = lh
+            n_points[paths[hit[up]]] = drawn.points[kh[up]]
+            up = hit[up]
+            k[up], stop[up] = draw(paths[up], t_last[up], level[up])
+        segments.append((paths[hit], s, x_now, z_now, lh))
+
+    paths, *columns = map(np.concatenate, zip(*segments))
+    order = np.argsort(paths, kind="stable")
+    columns = [col[order] for col in columns]
+    ends = np.cumsum(np.bincount(paths, minlength=n)).tolist()
+    trajs = [
+        Trajectory(*(col[a:b] for col in columns), config.horizon)
+        for a, b in zip([0] + ends, ends)
+    ]
+    paths, k, accepted, level = map(np.concatenate, zip(*visits))
+    counts = np.bincount(paths, minlength=n), np.bincount(paths[accepted], minlength=n)
+    logs = [
+        EventLog(n_candidates=int(c), n_accepted=int(a), n_skipped=int(p - c))
+        for c, a, p in zip(*counts, n_points)
+    ]
+    if log_events and len(k):
+        order = np.argsort(paths, kind="stable")
+        k, c = k[order], drawn
+        records = map(
+            CandidateRecord,
+            c.times[k].tolist(), c.velocities[k], c.thetas[k].tolist(),
+            c.phis[k].tolist(), c.thresholds[k].tolist(), c.bounds[k].tolist(),
+            accepted[order].tolist(), level[order].tolist(),
+        )
+        for log in logs:
+            log.records = list(itertools.islice(records, log.n_candidates))
+    return trajs, logs
+

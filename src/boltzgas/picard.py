@@ -1,9 +1,9 @@
 """Picard iteration for the velocity-jump process on frozen noise.
 
 All iterates share one realization of the driving randomness: the
-engine's candidates at a fixed truncation level, drawn by the same
-envelope clock, each atom carrying a proposal velocity, a scattering
-angle pair, and an absolute acceptance threshold.  Every
+engine's candidates at a fixed truncation level, drawn in the engine's
+blocks, each atom carrying a proposal velocity, a scattering angle
+pair, and an absolute acceptance threshold.  Every
 iterate is an engine :class:`~boltzgas.engine.Trajectory` carrying the
 per-atom state the next pass reads.  Iterate zero is the free flight
 ``(X_0 + t Z_0, Z_0)``, which is exactly the pass that accepts no atom;
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Envelope, Trajectory, initial_state, jump_intensity
+from .engine import Envelope, SimConfig, Trajectory, initial_state, jump_intensity
 from .geometry import tanaka_rotation
 from .rng import stream
 from .truncation import alpha_j, project_j
@@ -115,10 +115,10 @@ class PicardPath(Trajectory):
 def frozen_noise(model, kernel, level, horizon, rng, x0=None, z0=None):
     """Draw the complete atom list for one realization.
 
-    The atoms are the engine's candidates at the fixed ``level``: the
-    surviving points of :meth:`~boltzgas.engine.Envelope.candidates`,
-    each with a velocity from the weighted marginal, an angle pair and
-    an acceptance threshold uniform under the envelope.  On the same
+    The atoms are the engine's candidates at the fixed ``level``, the
+    block draw of :meth:`~boltzgas.engine.Envelope.candidates`: each
+    with a velocity from the weighted marginal, an angle pair and an
+    acceptance threshold uniform under the envelope.  On the same
     ``rng`` they are the candidate records of
     ``simulate(..., SimConfig(horizon, level, escalate=False), rng)``.
     """
@@ -130,25 +130,9 @@ def _frozen_noise(envelope, level, rng, x0, z0):
     if level < 1.0:
         raise ValueError("truncation level must be >= 1")
     x0, z0 = initial_state(envelope.model, rng, x0, z0)
-    atoms = [
-        (t, *marks)
-        for t, marks in envelope.candidates(0.0, level, rng)
-        if marks is not None
-    ]
-    columns = list(zip(*atoms)) or [()] * 6
-    times, vels, thetas, phis, thresholds, bounds = map(np.array, columns)
-    return FrozenNoise(
-        times=times,
-        velocities=vels.reshape(len(times), 3),
-        thetas=thetas,
-        phis=phis,
-        thresholds=thresholds,
-        bounds=bounds,
-        x0=x0,
-        z0=z0,
-        level=level,
-        horizon=envelope.horizon,
-    )
+    # times, velocities, thetas, phis, thresholds and bounds, in order
+    atoms = envelope.candidates(0.0, level, rng, SimConfig.max_events)[:6]
+    return FrozenNoise(*atoms, x0, z0, level, envelope.horizon)
 
 
 def initial_iterate(noise):

@@ -32,7 +32,7 @@ from boltzgas.kernels import (
     KernelSpec,
     angular_weighted_mass,
 )
-from boltzgas.quadrature import gauss_hermite_3d
+from boltzgas.quadrature import gauss_hermite_3d, radial_gaussian_moment
 from boltzgas.rng import stream
 
 NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -221,6 +221,27 @@ class TestBKWModel:
         expected = self.model.speed_moment(t, 2) / self.model.mean_speed(t)
         se = speeds.std() / math.sqrt(len(speeds))
         assert abs(speeds.mean() - expected) < 4 * se
+
+    def test_samplers_take_one_time_per_row(self):
+        # half the rows at t = 0 and half at t = 3, drawn in one call
+        n = 200000
+        t = np.repeat([0.0, 3.0], n // 2)
+        rng = stream(16, 0)
+        halves = np.split(self.model.sample_velocity(t, rng, n), 2)
+        tilted = np.split(self.model.sample_speed_tilted(t, rng, n), 2)
+        assert_allclose(
+            self.model.mean_speed(np.array([0.0, 3.0])),
+            [self.model.mean_speed(0.0), self.model.mean_speed(3.0)],
+            rtol=1e-14,
+        )
+        for when, v, vt in zip((0.0, 3.0), halves, tilted):
+            m4 = np.sum(v * v, axis=1) ** 2
+            se4 = m4.std() / math.sqrt(len(m4))
+            assert abs(m4.mean() - self.model.fourth_moment(when)) < 4 * se4
+            speeds = np.linalg.norm(vt, axis=1)
+            expected = self.model.speed_moment(when, 2) / self.model.mean_speed(when)
+            se = speeds.std() / math.sqrt(len(speeds))
+            assert abs(speeds.mean() - expected) < 4 * se
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
@@ -717,6 +738,12 @@ class TestMollifiedEmpiricalModel:
         expected = model.speed_moment(0.0, 2) / model.mean_speed(0.0)
         se = speeds.std() / math.sqrt(len(speeds))
         assert abs(speeds.mean() - expected) < 4 * se
+
+    def test_second_moment_is_closed_form(self):
+        model = self.make_model(n=160)
+        speeds = np.linalg.norm(model.velocities, axis=1)
+        by_quadrature = radial_gaussian_moment(speeds, model.h_v**2, 0, 2).mean()
+        assert_allclose(model.speed_moment(0.0, 2), by_quadrature, rtol=1e-13)
 
     def test_speed_sq_bound_evaluates_once(self):
         model = self.make_model(n=40)

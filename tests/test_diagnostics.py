@@ -1,6 +1,7 @@
 """Tests for weak-form residuals, entropy and exit diagnostics."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -315,6 +316,14 @@ class TestEnergyFlow:
         with pytest.raises(ValueError, match="empty"):
             energy_flow_values(BOX, HS_KERNEL, np.empty((0, 3)))
 
+    def test_report_with_per_row_levels_writes_as_json(self):
+        sample = np.random.default_rng(14).normal(size=(50, 3))
+        rep = energy_rhs_report(BOX, HS_KERNEL, sample, level=np.full(50, 2.0))
+        assert rep.details["level"] == [2.0] * 50
+        assert json.loads(json.dumps(rep.as_dict()))["details"]["level"] == [2.0] * 50
+        scalar = energy_rhs_report(BOX, HS_KERNEL, sample, level=2.0)
+        assert scalar.details["level"] == 2.0 and scalar.lhs == rep.lhs
+
 
 @pytest.fixture(scope="module")
 def box_ensemble():
@@ -559,6 +568,39 @@ class TestEntropy:
             relative_entropy_kde(good, reference_variance=0.0)
         with pytest.raises(ValueError, match="bandwidth"):
             relative_entropy_kde(good, reference_variance=1.0, bandwidth=-1.0)
+
+
+NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+
+
+class TestNonFiniteArguments:
+    """NaN fails every comparison, so a plain ``x <= 0`` check lets it in."""
+
+    @NON_FINITE
+    def test_bump_radius(self, value):
+        with pytest.raises(ValueError, match="radius"):
+            CompactBump(center=np.zeros(3), radius=value)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_gaussian_kl(self, value, which):
+        args = [1.0, 1.0]
+        args[which] = value
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_kl(*args)
+
+    @NON_FINITE
+    def test_entropy_bias_budget(self, value):
+        with pytest.raises(ValueError, match="bandwidth"):
+            entropy_bias_budget(100, value)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["reference_variance", "bandwidth"])
+    def test_relative_entropy_kde(self, value, name):
+        v = np.random.default_rng(15).normal(size=(20, 3))
+        kwargs = {"reference_variance": 1.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            relative_entropy_kde(v, **kwargs)
 
 
 class TestExitStatistics:

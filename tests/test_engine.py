@@ -1,5 +1,6 @@
 """Tests for the exact-thinning trajectory engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,10 @@ HARD_SPHERE_UNIT = kernels.KernelSpec(
 )
 HARD_SPHERE_LINEAR = kernels.KernelSpec(
     gamma=1.0, c=0.5, angular=kernels.HARD_SPHERE
+)
+# a tenfold rate: hundreds of clock points, some of them thinned
+HARD_SPHERE_DENSE = kernels.KernelSpec(
+    gamma=1.0, c=5.0, angular=kernels.HARD_SPHERE
 )
 
 
@@ -87,30 +92,50 @@ class TestSharedEnvelope:
 class TestCandidateClock:
     def test_points_lie_in_the_window_in_order(self):
         bkw = densities.BKWModel(side=1.5, vel_var=1.0)
-        env = engine.Envelope(bkw, HARD_SPHERE_LINEAR, 6.0)
-        points = list(env.candidates(0.5, 4.0, stream(8, 0)))
-        times = [t for t, _ in points]
+        env = engine.Envelope(bkw, HARD_SPHERE_DENSE, 6.0)
+        cands = env.candidates(0.5, 1.0, stream(8, 0))
+        times = cands.times.tolist()
         assert len(times) > 10 and times == sorted(times)
         assert 0.5 < times[0] and times[-1] < 6.0
-        assert any(marks is None for _, marks in points)
+        # thinned points are counted but carry no candidate
+        assert np.all(np.diff(cands.points) >= 1) and cands.points[0] >= 1
+        assert cands.n_points > len(times)
+        for name in ("thetas", "phis", "thresholds", "bounds"):
+            assert getattr(cands, name).shape == (len(times),)
+        assert cands.velocities.shape == (len(times), 3)
 
     def test_sent_level_restarts_the_clock(self):
+        # an escalating jump at time t ends the path's draw; the path
+        # goes on with the candidates of a fresh draw from t at its new
+        # level, on the same stream
         box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=1.0, level=2.0, level_step=2.0)
         env = engine.Envelope(box, HARD_SPHERE_LINEAR, 1.0)
-        rng = stream(9, 0)
-        clock = env.candidates(0.0, 2.0, rng)
-        t, _ = next(clock)
-        clock.send(6.0)
-        restarted = list(clock)
-        fresh_rng = stream(9, 0)
-        fresh = env.candidates(0.0, 2.0, fresh_rng)
-        assert next(fresh)[0] == t
-        expected = list(env.candidates(t, 6.0, fresh_rng))
-        assert len(restarted) == len(expected) > 0
-        for (s, a), (u, b) in zip(restarted, expected):
-            assert s == u and (a is None) == (b is None)
-            if a is not None:
-                assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+        for i in range(100):
+            traj, log = engine.simulate(box, HARD_SPHERE_LINEAR, cfg, stream(9, i))
+            steps = np.flatnonzero(np.diff(traj.levels) > 0.0) + 1
+            if len(steps) == 1:
+                break
+        else:
+            pytest.fail("no path escalated exactly once")
+        k = steps[0]
+        rng = stream(9, i)
+        engine.initial_state(box, rng)
+        first = env.candidates(0.0, traj.levels[0], rng)
+        n_first = int(np.searchsorted(first.times, traj.times[k])) + 1
+        second = env.candidates(
+            traj.times[k], traj.levels[k], rng, used=first.points[n_first - 1]
+        )
+        assert first.times[n_first - 1] == traj.times[k]
+        recs = log.records
+        assert len(recs) == n_first + len(second.times)
+        expected = [(first, a) for a in range(n_first)] + [
+            (second, a) for a in range(len(second.times))
+        ]
+        for rec, (cands, a) in zip(recs, expected):
+            assert rec.time == cands.times[a] and rec.r == cands.thresholds[a]
+            assert rec.velocity.tobytes() == cands.velocities[a].tobytes()
+        assert log.n_candidates + log.n_skipped == second.n_points
 
     def test_zero_rate_gives_no_point(self):
         class EmptyBox(densities.BoxMaxwellianModel):
@@ -119,8 +144,133 @@ class TestCandidateClock:
 
         env = engine.Envelope(EmptyBox(), HARD_SPHERE_UNIT, 1.0)
         rng = stream(1, 0)
-        assert list(env.candidates(0.0, 4.0, rng)) == []
+        cands = env.candidates(0.0, 4.0, rng)
+        assert len(cands.times) == 0 and cands.n_points == 0
+        assert cands.velocities.shape == (0, 3)
         assert rng.random() == stream(1, 0).random()
+
+
+def _snapshot_130():
+    rng = np.random.default_rng(130)
+    return densities.MollifiedEmpiricalModel(
+        rng.uniform(0.0, 1.0, (130, 3)), rng.normal(0.0, 1.0, (130, 3)),
+        h_x=0.1, h_v=0.3, side=1.0,
+    )
+
+
+# one model of each density family, with its horizon
+BLOCK_FAMILIES = {
+    "box": (densities.BoxMaxwellianModel(side=1.0, vel_var=1.0), 1.0),
+    "bkw": (densities.BKWModel(side=1.0, vel_var=1.0), 3.0),
+    "gaussian": (
+        densities.GaussianProductModel(pos_var=0.1, drift="free_transport"),
+        0.6,
+    ),
+    "snapshot": (_snapshot_130(), 0.3),
+}
+
+
+def assert_same_run(a, b):
+    """Two (Trajectory, EventLog) pairs agree bit for bit."""
+    (ta, la), (tb, lb) = a, b
+    for name in ("times", "positions", "velocities", "levels"):
+        assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes(), name
+    assert (la.n_candidates, la.n_accepted, la.n_skipped) == (
+        lb.n_candidates, lb.n_accepted, lb.n_skipped
+    )
+    assert len(la.records) == len(lb.records)
+    for ra, rb in zip(la.records, lb.records):
+        assert ra.velocity.tobytes() == rb.velocity.tobytes()
+        assert (ra.time, ra.theta, ra.phi, ra.r, ra.bound, ra.accepted, ra.level) == (
+            rb.time, rb.theta, rb.phi, rb.r, rb.bound, rb.accepted, rb.level
+        )
+
+
+class TestBlockContract:
+    """Blocks from each path's own stream, scanned in lockstep slots."""
+
+    @pytest.mark.parametrize("escalate", [True, False])
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_path_alone_equals_its_ensemble_member(self, family, escalate):
+        model, horizon = BLOCK_FAMILIES[family]
+        cfg = engine.SimConfig(
+            horizon=horizon, level=1.5, level_step=1.0, escalate=escalate
+        )
+        alone = [
+            engine.simulate(model, HARD_SPHERE_LINEAR, cfg, stream(61, i))
+            for i in range(2)
+        ]
+        assert sum(log.n_accepted for _, log in alone) > 0
+        grew = False
+        for size in (2, 7, 33):
+            trajs, logs = engine.simulate_ensemble(
+                model, HARD_SPHERE_LINEAR, cfg, 61, size, log_events=True
+            )
+            for i in range(2):
+                assert_same_run(alone[i], (trajs[i], logs[i]))
+            grew |= any(t.levels[-1] > t.levels[0] for t in trajs)
+        assert grew == escalate
+
+    def test_escalation_discards_the_rest_of_its_block(self):
+        box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=1.0, level=2.0, level_step=2.0)
+        env = engine.Envelope(box, HARD_SPHERE_LINEAR, 1.0)
+        discarded = 0
+        for i in range(40):
+            traj, log = engine.simulate(box, HARD_SPHERE_LINEAR, cfg, stream(67, i))
+            rng = stream(67, i)
+            engine.initial_state(box, rng)
+            first = env.candidates(0.0, traj.levels[0], rng)
+            steps = np.flatnonzero(np.diff(traj.levels) > 0.0) + 1
+            if not len(steps):
+                assert len(log.records) == len(first.times)
+                continue
+            t_up = traj.times[steps[0]]
+            later = first.thresholds[first.times > t_up]
+            logged = np.array([rec.r for rec in log.records])
+            assert not np.isin(later, logged).any()
+            discarded += len(later)
+        assert discarded > 0
+
+    def test_max_events_counts_thinned_points(self):
+        bkw = densities.BKWModel(side=1.5, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=6.0, level=1.0, escalate=False)
+        _, log = engine.simulate(bkw, HARD_SPHERE_DENSE, cfg, stream(71, 0))
+        points = log.n_candidates + log.n_skipped
+        assert log.n_skipped > 0
+        capped = dataclasses.replace(cfg, max_events=points)
+        _, again = engine.simulate(bkw, HARD_SPHERE_DENSE, capped, stream(71, 0))
+        assert again.n_candidates + again.n_skipped == points
+        capped = dataclasses.replace(cfg, max_events=points - 1)
+        with pytest.raises(RuntimeError, match=f"max_events={points - 1}$"):
+            engine.simulate(bkw, HARD_SPHERE_DENSE, capped, stream(71, 0))
+
+    def test_candidate_records_have_slots(self):
+        # logs of every round are kept by long runs, so a record holds no dict
+        rec = engine.CandidateRecord(
+            time=0.1, velocity=np.zeros(3), theta=1.0, phi=2.0, r=0.3,
+            bound=0.5, accepted=True, level=4.0,
+        )
+        assert not hasattr(rec, "__dict__")
+        assert engine.CandidateRecord.__slots__ == (
+            "time", "velocity", "theta", "phi", "r", "bound", "accepted", "level"
+        )
+
+    def test_envelope_error_names_the_first_offending_row(self):
+        box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
+        rng = stream(73, 0)
+        z, v = rng.standard_normal((2, 5, 3))
+        t = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        level = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
+        intensity = engine.jump_intensity(
+            box, HARD_SPHERE_LINEAR, t, np.zeros((5, 3)), z, v, level, np.inf
+        )
+        bound = intensity.copy()
+        bound[[1, 3]] *= 0.5
+        with pytest.raises(engine.EnvelopeError, match=r"at t=0\.2, level=3\.0$"):
+            engine.jump_intensity(
+                box, HARD_SPHERE_LINEAR, t, np.zeros((5, 3)), z, v, level, bound
+            )
 
 
 class TestFlatKernelBox:

@@ -194,19 +194,29 @@ class TestOneCandidateStream:
         assert atoms > 0
 
     def test_clock_cap_is_the_engine_guard(self, monkeypatch):
-        # the cap counts every clock point, thinned ones included
+        # the cap counts every clock point of the block draw, thinned
+        # ones included, and the points a path used before the draw
         model, horizon = FAMILIES["bkw"]
         cfg = bg.SimConfig(horizon=horizon, level=4.0, escalate=False)
         _, log = bg.simulate(model, SPEC, cfg, stream(5, 0))
         points = log.n_candidates + log.n_skipped
         assert log.n_skipped > 0
         monkeypatch.setattr(bg.SimConfig, "max_events", points)
-        picard.frozen_noise(model, SPEC, 4.0, horizon, stream(5, 0))
+        noise = picard.frozen_noise(model, SPEC, 4.0, horizon, stream(5, 0))
+        assert noise.n_atoms == log.n_candidates
         monkeypatch.setattr(bg.SimConfig, "max_events", points - 1)
         with pytest.raises(
             RuntimeError, match=f"candidate count exceeded max_events={points - 1}$"
         ):
             picard.frozen_noise(model, SPEC, 4.0, horizon, stream(5, 0))
+        env = Envelope(model, SPEC, horizon)
+        rng = stream(5, 0)
+        bg.engine.initial_state(model, rng)
+        assert env.candidates(0.0, 4.0, rng, points, used=0).n_points == points
+        rng = stream(5, 0)
+        bg.engine.initial_state(model, rng)
+        with pytest.raises(RuntimeError, match=f"max_events={points}$"):
+            env.candidates(0.0, 4.0, rng, points, used=1)
 
 
 def no_jump_noise(noise):
@@ -553,7 +563,7 @@ class TestContraction:
             for k in range(1, 11)
             if not np.array_equal(paths[k].accepted, paths[k - 1].accepted)
         ]
-        assert changed[-1] == 5
+        assert changed[-1] == 7
         assert picard.supremum_distance(paths[10], paths[9]) == 0.0
 
     def test_one_speed_bound_per_profile(self):
