@@ -25,20 +25,25 @@ dominating process, which keeps the scheme exact:
   ``W(v) m(t, v) / E[W]``, so the residual acceptance ratio
   ``sigma_j f(t, x | v) / (c W(v) F)`` never exceeds one.
 
-Every candidate evaluates that ratio and raises if it exceeds one,
-turning any bound violation into a hard failure instead of a silently
-wrong law.  Soft potentials (``gamma < 0``) admit no finite envelope of
-this form and are rejected.
+Every visited candidate evaluates that ratio and raises if it exceeds
+one, turning any bound violation into a hard failure instead of a
+silently wrong law.  Soft potentials (``gamma < 0``) admit no finite
+envelope of this form and are rejected.
 
 The envelope never reads the particle's state, so a path's candidates
 at one level are drawn ahead: in blocks sized by the path's own
 expected point count, from the path's own stream, in a fixed column
 order.  Only accept-and-kick is sequential, and only within a path.
-An ensemble is scanned one candidate slot at a time: each slot decides
-the next candidate of every live path in one row-wise intensity call
-and kicks the accepted rows in one more.  Every operation is row-wise,
-so a path simulated alone equals, bit for bit, the same path inside any
-ensemble.
+Between jumps the state is known along a line, so every candidate up to
+the next acceptance is decided by the current state alone.  An ensemble
+therefore runs in rounds: each live path offers a window of its next
+candidates, all window rows get one row-wise intensity evaluation at
+their path's current state, each path stops at its first acceptance,
+and one more call kicks the accepted rows.  The rows after an
+acceptance are read again next round, at the post-jump state, and only
+visited rows are checked against the envelope.  Every operation is
+row-wise, so a path simulated alone equals, bit for bit, the same path
+inside any ensemble, and the window size changes no result.
 
 The truncation level can escalate: whenever a jump carries ``|Z|``
 beyond the current level the level grows by a fixed step, the rest of
@@ -58,10 +63,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import row_norms
-from .kernels import angular_mass, sample_theta, sigma_weight
+from .geometry import deflection_alpha, row_norms
+from .kernels import angular_mass, sample_theta, sigma, sigma_weight
 from .rng import stream
-from .truncation import alpha_j, sigma_j
+from .truncation import project_j, sigma_j
 
 __all__ = [
     "SimConfig",
@@ -81,6 +86,9 @@ __all__ = [
 
 # Rows of one candidate block at most, which bounds a block's memory.
 _BLOCK_MAX = 1 << 16
+# Candidates a path offers in its first round after a jump; a round
+# without a jump doubles its next window.
+_WINDOW = 8
 
 
 class EnvelopeError(RuntimeError):
@@ -328,10 +336,11 @@ class Envelope:
 def jump_intensity(model, kernel, t, x, z, v, level, bound):
     """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of rows of candidates.
 
-    ``t``, ``level`` and ``bound`` are scalars or one per row.  An
-    engine slot calls it once on its live paths, a Picard pass once on
-    all atoms.  Raises :class:`EnvelopeError` naming the first row above
-    its ``bound``.
+    ``t``, ``level`` and ``bound`` are scalars or one per row.  A Picard
+    pass calls it once on all atoms; an engine round evaluates the same
+    product on its window rows and checks only the rows it visits.
+    Raises :class:`EnvelopeError` naming the first row above its
+    ``bound``.
     """
     intensity = sigma_j(kernel, z, v, level) * model.conditional(t, x, v)
     check_envelope(intensity, bound, t, level)
@@ -345,7 +354,7 @@ def check_envelope(intensity, bound, t, level):
     ``level`` per row, and names the first offending row.  The relative
     slack of 1e-9 only absorbs roundoff.
     """
-    over = intensity > bound * (1.0 + 1e-9)
+    over = _above(intensity, bound)
     if np.count_nonzero(over):
         a = np.argmax(over)
         intensity, bound, t, level = (
@@ -355,6 +364,11 @@ def check_envelope(intensity, bound, t, level):
             f"jump intensity {intensity} exceeds envelope {bound} "
             f"at t={t}, level={level}"
         )
+
+
+def _above(intensity, bound):
+    """Where ``intensity`` exceeds ``bound`` beyond a relative roundoff slack."""
+    return intensity > bound * (1.0 + 1e-9)
 
 
 def initial_state(model, rng, x0=None, z0=None):
@@ -407,11 +421,21 @@ def _escalated(level, z, step):
 
 
 def _lockstep(model, kernel, config, rngs, x0, z0, log_events):
-    """Trajectories and logs of the paths on ``rngs``, one candidate slot at a time.
+    """Trajectories and logs of the paths on ``rngs``, one round at a time.
 
-    Each slot decides the next candidate of every live path in one
-    :func:`jump_intensity` call and kicks the accepted rows in one
-    ``alpha_j`` call; all operations are row-wise.
+    A round offers the next candidates of every live path, a window of
+    them, at the path's current state: between jumps the state moves on
+    a known line, so one row-wise intensity call decides every window
+    row.  Each path visits its rows up to its first acceptance; the rows
+    after it are read again next round, at the post-jump state.  The
+    accepted rows are kicked in one ``deflection_alpha`` call.  A window
+    starts at ``_WINDOW`` rows, doubles after a round without a jump and
+    is clipped at the end of the path's block.
+
+    Visits, decisions and kicks are those of a scan that takes the next
+    candidate of every live path at each step, and an envelope failure
+    names the visit that scan meets first: the earliest in its path,
+    then the lowest path index.
     """
     n = len(rngs)
     states = [initial_state(model, rng, x0, z0) for rng in rngs]
@@ -426,6 +450,11 @@ def _lockstep(model, kernel, config, rngs, x0, z0, log_events):
     envelope = Envelope(model, kernel, config.horizon) if config.collisions else None
     drawn = None  # every draw of every path, stacked in draw order
     n_points = np.zeros(n, dtype=np.int64)
+    seen, width = np.zeros(n, dtype=np.int64), np.full(n, _WINDOW)
+    # the envelope failure the scan meets first: its key (visits before it
+    # in its path) * n + path, the last slot left to scan (no path visits
+    # more than max_events candidates) and the failing row's values
+    failure, limit, failed = math.inf, config.max_events, None
 
     def draw(rows, times, levels):
         """Draw for ``rows`` from ``times`` at ``levels``; return their row ranges."""
@@ -443,34 +472,60 @@ def _lockstep(model, kernel, config, rngs, x0, z0, log_events):
 
     k, stop = draw(paths, t_last, level) if envelope and n else (paths, paths)
     while True:
-        live = k < stop
+        # past a failure only visits the scan would make before it remain
+        live = (k < stop) & (seen <= limit)
         if not live.all():
-            paths, k, stop, x, z, t_last, level = (
-                a[live] for a in (paths, k, stop, x, z, t_last, level)
+            paths, k, stop, x, z, t_last, level, seen, width = (
+                a[live] for a in (paths, k, stop, x, z, t_last, level, seen, width)
             )
         if not len(paths):
             break
-        s, v = drawn.times[k], drawn.velocities[k]
-        x_now = x + (s - t_last)[:, np.newaxis] * z
-        accepted = drawn.thresholds[k] < jump_intensity(
-            model, kernel, s, x_now, z, v, level, drawn.bounds[k]
+        size = np.minimum(np.minimum(width, stop - k), limit + 1 - seen)
+        ends = np.cumsum(size)
+        starts = ends - size
+        owner = np.repeat(np.arange(len(paths)), size)
+        offset = np.arange(ends[-1]) - starts[owner]
+        rows = k[owner] + offset
+        s, v = drawn.times[rows], drawn.velocities[rows]
+        x_now = x[owner] + (s - t_last[owner])[:, np.newaxis] * z[owner]
+        z_proj = project_j(z, level)
+        intensity = sigma(kernel, row_norms(z_proj[owner] - v)) * model.conditional(
+            s, x_now, v
         )
-        visits.append((paths, k, accepted, level))
-        k = k + 1
-        hit = accepted.nonzero()[0]
+        accepted = drawn.thresholds[rows] < intensity
+        # each path's first acceptance, or its window size if it has none
+        first = np.minimum.reduceat(np.where(accepted, offset, size[owner]), starts)
+        visited = np.flatnonzero(offset <= first[owner])
+        by = owner[visited]
+        over = visited[_above(intensity[visited], drawn.bounds[rows[visited]])]
+        if len(over):
+            key = (seen[owner[over]] + offset[over]) * n + paths[owner[over]]
+            if key.min() < failure:
+                failure, a = key.min(), over[np.argmin(key)]
+                limit = failure // n
+                failed = intensity[a], drawn.bounds[rows[a]], s[a], level[owner[a]]
+        visits.append((paths[by], rows[visited], accepted[visited], level[by]))
+        jumped = first < size
+        hit = np.flatnonzero(jumped & (seen + first < limit))
+        step = np.minimum(first + 1, size)
+        seen, k = seen + step, k + step
+        width = np.where(jumped, _WINDOW, 2 * width)
         if not len(hit):
             continue
-        kh, s, x_now, z_now, lh = k[hit] - 1, s[hit], x_now[hit], z[hit], level[hit]
-        z_now = z_now + alpha_j(z_now, v[hit], drawn.thetas[kh], drawn.phis[kh], lh)
+        a = starts[hit] + first[hit]
+        kh, s, x_now, lh = rows[a], s[a], x_now[a], level[hit]
+        z_now = z[hit] + deflection_alpha(
+            z_proj[hit], v[a], drawn.thetas[kh], drawn.phis[kh]
+        )
         x[hit], z[hit], t_last[hit] = x_now, z_now, s
         if config.escalate and np.any(up := row_norms(z_now) > lh):
-            lh = _escalated(lh, z_now, config.level_step)
-            level = level.copy()  # the visit above keeps the old levels
-            level[hit] = lh
+            level[hit] = lh = _escalated(lh, z_now, config.level_step)
             n_points[paths[hit[up]]] = drawn.points[kh[up]]
             up = hit[up]
             k[up], stop[up] = draw(paths[up], t_last[up], level[up])
         segments.append((paths[hit], s, x_now, z_now, lh))
+    if failed is not None:
+        check_envelope(*failed)
 
     paths, *columns = map(np.concatenate, zip(*segments))
     order = np.argsort(paths, kind="stable")

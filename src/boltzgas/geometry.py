@@ -71,11 +71,19 @@ def row_norms(vectors):
     return np.sqrt(np.vecdot(vectors, vectors))
 
 
+# The coordinate axes as rows, and the component orders of a cross product.
+_AXES = np.eye(3)
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _cross(a, b):
     """``a x b`` on the last axis, by the float operations of ``np.cross``."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
+
+
+def _norms(a):
+    """``np.linalg.norm(a, axis=-1)`` by its float operations, without its dispatch."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def orthonormal_frame(w):
@@ -102,14 +110,16 @@ def orthonormal_frame(w):
     ValueError
         If ``w`` contains NaN or infinity.
     """
-    w = _vectors("w", w)
-    norm = np.linalg.norm(w, axis=-1)
+    return _frame(_vectors("w", w))
+
+
+def _frame(w):
+    """:func:`orthonormal_frame` of float64 3-vectors already validated."""
+    norm = _norms(w)
     nonzero = norm > 0.0
     # Axis of smallest |component|, ties resolved toward the smaller index.
-    i_raw = _cross(w, np.eye(3)[np.argmin(np.abs(w), axis=-1)])
-    scale = np.divide(
-        norm, np.linalg.norm(i_raw, axis=-1), out=np.zeros_like(norm), where=nonzero
-    )
+    i_raw = _cross(w, _AXES[np.argmin(np.abs(w), axis=-1)])
+    scale = np.divide(norm, _norms(i_raw), out=np.zeros_like(norm), where=nonzero)
     i_axis = i_raw * scale[..., np.newaxis]
     w_hat = np.divide(
         w, norm[..., np.newaxis], out=np.zeros_like(w), where=nonzero[..., np.newaxis]
@@ -135,7 +145,11 @@ def gamma(w, phi):
     numpy.ndarray
         Shape ``broadcast(w.shape[:-1], phi.shape) + (3,)``.
     """
-    frame = orthonormal_frame(w)
+    return _azimuthal(orthonormal_frame(w), phi)
+
+
+def _azimuthal(frame, phi):
+    """``I cos(phi) + J sin(phi)`` of a frame."""
     phi = np.asarray(phi, dtype=np.float64)[..., np.newaxis]
     return frame.i_axis * np.cos(phi) + frame.j_axis * np.sin(phi)
 
@@ -164,7 +178,9 @@ def deflection_alpha(z, v, theta, phi):
     z = _vectors("z", z)
     w = _vectors("v", v) - z
     theta = np.asarray(theta, dtype=np.float64)[..., np.newaxis]
-    return np.sin(0.5 * theta) ** 2 * w + 0.5 * np.sin(theta) * gamma(w, phi)
+    return np.sin(0.5 * theta) ** 2 * w + 0.5 * np.sin(theta) * _azimuthal(
+        _frame(w), phi
+    )
 
 
 def post_collision(z, v, theta, phi):
@@ -224,9 +240,9 @@ def tanaka_rotation(z, v, z2, v2):
     phi0 = np.zeros(ok.shape)
     if np.any(ok):
         w, w2, n1, n2 = w[ok], w2[ok], n1[ok], n2[ok]
-        frame_b = orthonormal_frame(w2)
+        frame_b = _frame(w2)
         a, b = w / n1, w2 / n2
-        ia = orthonormal_frame(w).i_axis / n1
+        ia = _frame(w).i_axis / n1
         ib = frame_b.i_axis / n2
         jb = frame_b.j_axis / n2
         # 1 + c cancels near c = -1, where |a x b|^2 / (1 - c) keeps its

@@ -42,11 +42,10 @@ from boltzgas.diagnostics import (
     relative_entropy_kde,
     weak_residual,
 )
-from boltzgas.engine import SimConfig, simulate, simulate_ensemble
+from boltzgas.engine import SimConfig, simulate_ensemble
 from boltzgas.geometry import deflection_alpha, gamma, tanaka_rotation
 from boltzgas.kernels import HARD_SPHERE, KernelSpec
 from boltzgas.picard import contraction_profile
-from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, energy_defect, project_j
 
 MAXWELL = KernelSpec(gamma=0.0, c=1.0, angular=HARD_SPHERE)
@@ -229,14 +228,10 @@ def test_criterion_05_thinning_law():
     # 2 pi * (angular mass) * c * T / side^3 = 2 pi
     n_runs = 10_000
     cfg = SimConfig(horizon=1.0, level=4.0)
-    counts = np.empty(n_runs, dtype=np.int64)
-    skipped = 0
-    for i in range(n_runs):
-        traj, log = simulate(
-            UNIT_BOX, MAXWELL, cfg, stream(104729, i), log_events=False
-        )
-        counts[i] = traj.n_jumps
-        skipped += log.n_skipped
+    # path i runs on stream(104729, i), as a simulate call on it would
+    trajs, logs = simulate_ensemble(UNIT_BOX, MAXWELL, cfg, 104729, n_runs)
+    counts = np.array([traj.n_jumps for traj in trajs], dtype=np.int64)
+    skipped = sum(log.n_skipped for log in logs)
     lam = 2.0 * math.pi
 
     observed = np.bincount(counts)

@@ -1,13 +1,16 @@
 """Tests for the exact-thinning trajectory engine."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import densities, engine, kernels
+from boltzgas.geometry import row_norms
 from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, project_j
 from boltzgas.kernels import sigma
@@ -273,6 +276,198 @@ class TestBlockContract:
             )
 
 
+def reference_lockstep(model, kernel, config, rngs, x0, z0, log_events):
+    """The engine by its definition: every live path's next candidate per slot.
+
+    Each slot decides one candidate of every live path in one
+    ``jump_intensity`` call, which checks the envelope on every row, and
+    kicks the accepted rows with ``alpha_j``.
+    """
+    n = len(rngs)
+    states = [engine.initial_state(model, rng, x0, z0) for rng in rngs]
+    x, z = (np.reshape([s[i] for s in states], (n, 3)) for i in (0, 1))
+    level = np.full(n, float(config.level))
+    if config.escalate:
+        level = engine._escalated(level, z, config.level_step)
+    paths, t_last = np.arange(n), np.zeros(n)
+    segments = [(paths, t_last.copy(), x.copy(), z.copy(), level.copy())]
+    visits = [(paths[:0], paths[:0], paths[:0] < 0, t_last[:0])]
+    envelope = (
+        engine.Envelope(model, kernel, config.horizon) if config.collisions else None
+    )
+    drawn = None
+    n_points = np.zeros(n, dtype=np.int64)
+
+    def draw(rows, times, levels):
+        nonlocal drawn
+        fresh = [
+            envelope.candidates(t, j, rngs[i], config.max_events, n_points[i])
+            for i, t, j in zip(rows, times, levels)
+        ]
+        n_points[rows] = [c.n_points for c in fresh]
+        stacked = ([] if drawn is None else [drawn[:7]]) + [c[:7] for c in fresh]
+        drawn = engine.Candidates(*map(np.concatenate, zip(*stacked)), None)
+        lengths = np.array([len(c.times) for c in fresh], dtype=np.intp)
+        starts = len(drawn.times) - np.cumsum(lengths[::-1])[::-1]
+        return starts, starts + lengths
+
+    k, stop = draw(paths, t_last, level) if envelope and n else (paths, paths)
+    while True:
+        live = k < stop
+        if not live.all():
+            paths, k, stop, x, z, t_last, level = (
+                a[live] for a in (paths, k, stop, x, z, t_last, level)
+            )
+        if not len(paths):
+            break
+        s, v = drawn.times[k], drawn.velocities[k]
+        x_now = x + (s - t_last)[:, np.newaxis] * z
+        accepted = drawn.thresholds[k] < engine.jump_intensity(
+            model, kernel, s, x_now, z, v, level, drawn.bounds[k]
+        )
+        visits.append((paths, k, accepted, level))
+        k = k + 1
+        hit = accepted.nonzero()[0]
+        if not len(hit):
+            continue
+        kh, s, x_now, z_now, lh = k[hit] - 1, s[hit], x_now[hit], z[hit], level[hit]
+        z_now = z_now + alpha_j(z_now, v[hit], drawn.thetas[kh], drawn.phis[kh], lh)
+        x[hit], z[hit], t_last[hit] = x_now, z_now, s
+        if config.escalate and np.any(up := row_norms(z_now) > lh):
+            lh = engine._escalated(lh, z_now, config.level_step)
+            level = level.copy()
+            level[hit] = lh
+            n_points[paths[hit[up]]] = drawn.points[kh[up]]
+            up = hit[up]
+            k[up], stop[up] = draw(paths[up], t_last[up], level[up])
+        segments.append((paths[hit], s, x_now, z_now, lh))
+
+    paths, *columns = map(np.concatenate, zip(*segments))
+    order = np.argsort(paths, kind="stable")
+    columns = [col[order] for col in columns]
+    ends = np.cumsum(np.bincount(paths, minlength=n)).tolist()
+    trajs = [
+        engine.Trajectory(*(col[a:b] for col in columns), config.horizon)
+        for a, b in zip([0] + ends, ends)
+    ]
+    paths, k, accepted, level = map(np.concatenate, zip(*visits))
+    counts = np.bincount(paths, minlength=n), np.bincount(paths[accepted], minlength=n)
+    logs = [
+        engine.EventLog(n_candidates=int(c), n_accepted=int(a), n_skipped=int(p - c))
+        for c, a, p in zip(*counts, n_points)
+    ]
+    if log_events and len(k):
+        order = np.argsort(paths, kind="stable")
+        k, c = k[order], drawn
+        records = map(
+            engine.CandidateRecord,
+            c.times[k].tolist(), c.velocities[k], c.thetas[k].tolist(),
+            c.phis[k].tolist(), c.thresholds[k].tolist(), c.bounds[k].tolist(),
+            accepted[order].tolist(), level[order].tolist(),
+        )
+        for log in logs:
+            log.records = list(itertools.islice(records, log.n_candidates))
+    return trajs, logs
+
+
+ORACLE_KERNELS = {
+    "hard-sphere-0": HARD_SPHERE_UNIT,
+    "hard-sphere-1": HARD_SPHERE_LINEAR,
+    "power-law-0": kernels.KernelSpec(
+        gamma=0.0, c=1.0, angular=kernels.POWER_LAW, nu=0.5, epsilon=0.05
+    ),
+    "power-law-1": kernels.KernelSpec(
+        gamma=1.0, c=0.5, angular=kernels.POWER_LAW, nu=0.5, epsilon=0.05
+    ),
+}
+
+
+class UnderReportingBump(densities.GaussianProductModel):
+    """A position bump whose bound is 30% low: its centre breaks the envelope.
+
+    Paths far from the centre thin most candidates and so race ahead in
+    rounds, while paths near it jump often; so the failure that the
+    candidate-by-candidate scan meets first can turn up a round after
+    another path's later one (seed 6 below).
+    """
+
+    def conditional_sup(self, horizon):
+        return 0.7 * super().conditional_sup(horizon)
+
+
+class TestRounds:
+    """Windows of candidates per round against the candidate-by-candidate scan."""
+
+    @pytest.mark.parametrize("escalate", [True, False])
+    @pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_rounds_equal_the_slot_scan(self, family, kernel, escalate, monkeypatch):
+        model, horizon = BLOCK_FAMILIES[family]
+        kernel = ORACLE_KERNELS[kernel]
+        cfg = engine.SimConfig(
+            horizon=horizon, level=1.5, level_step=1.0, escalate=escalate
+        )
+        expected = reference_lockstep(
+            model, kernel, cfg, [stream(83, i) for i in range(6)], None, None, True
+        )
+        assert sum(log.n_accepted for log in expected[1]) > 0
+        for window in (engine._WINDOW, 1, 64):
+            monkeypatch.setattr(engine, "_WINDOW", window)
+            got = engine.simulate_ensemble(model, kernel, cfg, 83, 6, log_events=True)
+            for i in range(6):
+                assert_same_run(
+                    (expected[0][i], expected[1][i]), (got[0][i], got[1][i])
+                )
+
+    @pytest.mark.parametrize("window", [8, 1, 64])
+    def test_envelope_error_names_the_scans_first_failure(self, window, monkeypatch):
+        monkeypatch.setattr(engine, "_WINDOW", window)
+        bump = UnderReportingBump(pos_var=0.1, drift="free_transport")
+        cfg = engine.SimConfig(horizon=1.0, level=1.5, level_step=1.0)
+        named = set()
+        for seed in range(8):
+            rngs = [stream(seed, i) for i in range(12)]
+            with pytest.raises(engine.EnvelopeError) as expected:
+                reference_lockstep(bump, HARD_SPHERE_UNIT, cfg, rngs, None, None, False)
+            message = re.escape(str(expected.value))
+            with pytest.raises(engine.EnvelopeError, match=f"^{message}$"):
+                engine.simulate_ensemble(bump, HARD_SPHERE_UNIT, cfg, seed, 12)
+            named.add(str(expected.value))
+        assert len(named) == 8
+
+    def test_dropped_rows_are_never_checked(self):
+        # the density breaks its bound only on the initial ray x = (s, 0, 0),
+        # s > 0.5, which a path leaves at its first jump; a flat kernel
+        # accepts every candidate, so the first window's later rows are read
+        # at the pre-jump state on that ray and dropped unvisited
+        class RayBox(densities.BoxMaxwellianModel):
+            def conditional(self, t, x, v):
+                x = np.atleast_2d(x)
+                on_ray = (x[:, 0] > 0.5) & (x[:, 1] == 0.0) & (x[:, 2] == 0.0)
+                return np.where(on_ray, 2.0, 1.0) * super().conditional(t, x, v)
+
+        box = RayBox(side=1.0, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=2.0, level=4.0, escalate=False)
+        x0, z0 = np.zeros(3), np.array([1.0, 0.0, 0.0])
+        block = engine.Envelope(box, HARD_SPHERE_UNIT, 2.0).candidates(
+            0.0, 4.0, stream(89, 0)
+        )
+        later = slice(1, engine._WINDOW)
+        assert block.times[0] < 0.5 < block.times[later][-1]
+        # read at the pre-jump state, the first window's later rows fail
+        with pytest.raises(engine.EnvelopeError):
+            engine.jump_intensity(
+                box, HARD_SPHERE_UNIT, block.times[later],
+                block.times[later, np.newaxis] * z0, z0, block.velocities[later],
+                4.0, block.bounds[later],
+            )
+        expected = reference_lockstep(
+            box, HARD_SPHERE_UNIT, cfg, [stream(89, 0)], x0, z0, True
+        )
+        got = engine.simulate(box, HARD_SPHERE_UNIT, cfg, stream(89, 0), x0, z0)
+        assert_same_run((expected[0][0], expected[1][0]), got)
+
+
 class TestFlatKernelBox:
     """gamma = 0 in a box makes every candidate a jump.
 
@@ -285,26 +480,22 @@ class TestFlatKernelBox:
         self.box = densities.BoxMaxwellianModel(side=1.0, vel_var=1.0)
         self.cfg = engine.SimConfig(horizon=1.0, level=4.0)
 
+    # path i of an ensemble runs on stream(seed, i), as a simulate call would
+
     def test_acceptance_is_certain(self):
-        for i in range(200):
-            _, log = engine.simulate(
-                self.box, HARD_SPHERE_UNIT, self.cfg, stream(42, i)
-            )
+        _, logs = engine.simulate_ensemble(
+            self.box, HARD_SPHERE_UNIT, self.cfg, 42, 200
+        )
+        for log in logs:
             assert log.n_accepted == log.n_candidates
             assert log.n_skipped == 0
 
     def test_jump_count_matches_rate(self):
         n_runs = 3000
-        counts = np.empty(n_runs)
-        for i in range(n_runs):
-            traj, _ = engine.simulate(
-                self.box,
-                HARD_SPHERE_UNIT,
-                self.cfg,
-                stream(7, i),
-                log_events=False,
-            )
-            counts[i] = traj.n_jumps
+        trajs, _ = engine.simulate_ensemble(
+            self.box, HARD_SPHERE_UNIT, self.cfg, 7, n_runs
+        )
+        counts = np.array([traj.n_jumps for traj in trajs], dtype=float)
         lam = 2.0 * math.pi
         se = math.sqrt(lam / n_runs)
         assert abs(counts.mean() - lam) < 4.0 * se
