@@ -38,7 +38,7 @@ from .kernels import (
     sigma,
     theta_first_moment,
 )
-from .truncation import alpha_j, energy_defect, project_j, sigma_j
+from .truncation import alpha_j, energy_defect, project_j
 from .densities import (
     BKWModel,
     BoxMaxwellianModel,

@@ -10,20 +10,22 @@ generator acting on a test function ``psi(x, z)`` is
           f(t, x, v) sigma(|project_j(z) - v|) dv Q(dtheta) dphi,
 
 so the total jump intensity at state ``(t, x, z)`` equals
-``2 pi |Q| int sigma_j(z, v) f(t, x, v) dv``.
+``2 pi |Q| int sigma(|project_j(z) - v|) f(t, x, v) dv``.  A candidate
+velocity ``v`` is accepted against ``sigma(|project_j(z) - v|) f(t, x | v)``,
+the :func:`jump_intensity` that the engine and Picard iteration share.
 
 Simulation is by acceptance-rejection against a state-independent
 dominating process, which keeps the scheme exact:
 
 * the conditional density is bounded, ``f(t, x | v) <= F``;
-* the truncated cross section obeys ``sigma_j(z, v) <= c W(v)`` with a
-  weight ``W`` depending only on the candidate velocity:
+* the truncated cross section obeys ``sigma(|project_j(z) - v|) <= c W(v)``
+  with a weight ``W`` depending only on the candidate velocity:
   ``W = 1`` for ``gamma = 0``, ``W = j + |v|`` for ``gamma = 1`` and
   ``W = 1 + j + |v|`` for intermediate ``gamma`` (both bounds use
   ``|project_j(z)| <= j``);
 * candidate velocities are drawn from the weighted marginal
   ``W(v) m(t, v) / E[W]``, so the residual acceptance ratio
-  ``sigma_j f(t, x | v) / (c W(v) F)`` never exceeds one.
+  ``jump_intensity / (c W(v) F)`` never exceeds one.
 
 Every visited candidate evaluates that ratio and raises if it exceeds
 one, turning any bound violation into a hard failure instead of a
@@ -37,13 +39,14 @@ order.  Only accept-and-kick is sequential, and only within a path.
 Between jumps the state is known along a line, so every candidate up to
 the next acceptance is decided by the current state alone.  An ensemble
 therefore runs in rounds: each live path offers a window of its next
-candidates, all window rows get one row-wise intensity evaluation at
-their path's current state, each path stops at its first acceptance,
-and one more call kicks the accepted rows.  The rows after an
-acceptance are read again next round, at the post-jump state, and only
-visited rows are checked against the envelope.  Every operation is
-row-wise, so a path simulated alone equals, bit for bit, the same path
-inside any ensemble, and the window size changes no result.
+candidates, all window rows get one :func:`jump_intensity` call at
+their path's current state (``z`` projected once per path), each path
+stops at its first acceptance, and one more call kicks the accepted
+rows.  The rows after an acceptance are read again next round, at the
+post-jump state, and only visited rows are checked against the
+envelope.  Every operation is row-wise, so a path simulated alone
+equals, bit for bit, the same path inside any ensemble, and the window
+size changes no result.
 
 The truncation level can escalate: whenever a jump carries ``|Z|``
 beyond the current level the level grows by a fixed step, the rest of
@@ -66,7 +69,7 @@ import numpy as np
 from .geometry import deflection_alpha, row_norms
 from .kernels import angular_mass, sample_theta, sigma, sigma_weight
 from .rng import stream
-from .truncation import project_j, sigma_j
+from .truncation import project_j
 
 __all__ = [
     "SimConfig",
@@ -127,11 +130,11 @@ class SimConfig:
     def __post_init__(self):
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError("horizon must be positive and finite")
-        # negated comparisons also reject NaN
-        if not self.level >= 1.0:
-            raise ValueError("truncation level must be >= 1")
-        if not self.level_step > 0.0:
-            raise ValueError("level step must be positive")
+        # chained comparisons also reject NaN
+        if not 1.0 <= self.level < math.inf:
+            raise ValueError("truncation level must be finite and >= 1")
+        if not 0.0 < self.level_step < math.inf:
+            raise ValueError("level step must be positive and finite")
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
 
@@ -237,8 +240,10 @@ class Envelope:
     envelope.  It reads the density bound ``F`` and the horizon-wide
     speed bound from the model once, and turns each point of the
     constant-rate clock into a candidate by null thinning (Lewis &
-    Shedler 1979) and marking.  Raises for soft potentials, which this
-    envelope cannot dominate.
+    Shedler 1979) and marking.  Each candidate's ``bound`` dominates its
+    :func:`jump_intensity` at any state; both callers hold the rows they
+    read to it with :func:`check_envelope`.  Raises for soft potentials,
+    which this envelope cannot dominate.
     """
 
     def __init__(self, model, kernel, horizon):
@@ -333,18 +338,16 @@ class Envelope:
         return s, v, thetas, phis, rng.random(len(s)) * bounds, bounds
 
 
-def jump_intensity(model, kernel, t, x, z, v, level, bound):
-    """Jump intensity ``sigma_j(z, v) f(t, x | v)`` of rows of candidates.
+def jump_intensity(model, kernel, t, x, z_proj, v):
+    """Jump intensity ``sigma(|z_proj - v|) f(t, x | v)`` of rows of candidates.
 
-    ``t``, ``level`` and ``bound`` are scalars or one per row.  A Picard
-    pass calls it once on all atoms; an engine round evaluates the same
-    product on its window rows and checks only the rows it visits.
-    Raises :class:`EnvelopeError` naming the first row above its
-    ``bound``.
+    ``z_proj`` holds velocities already projected by
+    :func:`~boltzgas.truncation.project_j`, and ``t`` is a scalar or one
+    time per row.  Nothing is checked: an engine round calls it on its
+    window rows and checks the rows it visits, a Picard pass calls it
+    once on all atoms and checks them all with :func:`check_envelope`.
     """
-    intensity = sigma_j(kernel, z, v, level) * model.conditional(t, x, v)
-    check_envelope(intensity, bound, t, level)
-    return intensity
+    return sigma(kernel, row_norms(z_proj - v)) * model.conditional(t, x, v)
 
 
 def check_envelope(intensity, bound, t, level):
@@ -378,8 +381,8 @@ def initial_state(model, rng, x0=None, z0=None):
         x0 = xs[0] if x0 is None else x0
         z0 = zs[0] if z0 is None else z0
     x0, z0 = (np.asarray(a, dtype=np.float64) for a in (x0, z0))
-    if x0.shape != (3,) or z0.shape != (3,):
-        raise ValueError("initial state must be a pair of 3-vectors")
+    if x0.shape != (3,) or z0.shape != (3,) or not np.isfinite([x0, z0]).all():
+        raise ValueError("initial state must be a pair of finite 3-vectors")
     return x0, z0
 
 
@@ -489,9 +492,7 @@ def _lockstep(model, kernel, config, rngs, x0, z0, log_events):
         s, v = drawn.times[rows], drawn.velocities[rows]
         x_now = x[owner] + (s - t_last[owner])[:, np.newaxis] * z[owner]
         z_proj = project_j(z, level)
-        intensity = sigma(kernel, row_norms(z_proj[owner] - v)) * model.conditional(
-            s, x_now, v
-        )
+        intensity = jump_intensity(model, kernel, s, x_now, z_proj[owner], v)
         accepted = drawn.thresholds[rows] < intensity
         # each path's first acceptance, or its window size if it has none
         first = np.minimum.reduceat(np.where(accepted, offset, size[owner]), starts)

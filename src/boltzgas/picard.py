@@ -11,18 +11,19 @@ iterate ``k + 1`` walks the atom list in time order and, at each atom,
 evaluates both the acceptance test and the deflection on iterate
 ``k``'s state:
 
-    accept  iff  r < sigma_j(Z^k_{s-}, v) f(s, X^k_s | v),
-    kick    =    alpha_j(Z^k_{s-}, v, theta, psi),
+    accept  iff  r < sigma(|project_j(Z^k_{s-}) - v|) f(s, X^k_s | v),
+    kick    =    alpha(project_j(Z^k_{s-}), v, theta, psi),
 
 with the engine's strict thinning rule.  So every pass is an explicit
 functional of the previous one, and the fixed point solves the jump
 equation driven by that same noise.  Since no atom reads the current
 pass, decisions, frame turns and kicks are computed for all atoms at
-once: the intensities are one :func:`~boltzgas.engine.jump_intensity`
-call, the engine's own, with one time per atom.  Only the segment
-velocities (running sums of the kicks) and positions (running sums of
-the displacements) are sequential, and ``np.cumsum`` adds them in time
-order.
+once, from one projection of iterate ``k``'s velocities: the
+intensities are one :func:`~boltzgas.engine.jump_intensity` call, the
+engine's own, with one time per atom, and every atom is checked against
+its envelope bound.  Only the segment velocities (running sums of the
+kicks) and positions (running sums of the displacements) are
+sequential, and ``np.cumsum`` adds them in time order.
 
 The azimuthal angle ``psi`` is the frozen atom angle plus an
 accumulated frame rotation.  Between consecutive passes the scattering
@@ -44,10 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Envelope, SimConfig, Trajectory, initial_state, jump_intensity
-from .geometry import tanaka_rotation
+from .engine import (
+    Envelope, SimConfig, Trajectory, check_envelope, initial_state, jump_intensity
+)
+from .geometry import deflection_alpha, tanaka_rotation
 from .rng import stream
-from .truncation import alpha_j, project_j
+from .truncation import project_j
 
 __all__ = [
     "FrozenNoise",
@@ -127,8 +130,8 @@ def frozen_noise(model, kernel, level, horizon, rng, x0=None, z0=None):
 
 def _frozen_noise(envelope, level, rng, x0, z0):
     """Atom list of one realization on a prebuilt envelope."""
-    if level < 1.0:
-        raise ValueError("truncation level must be >= 1")
+    if not 1.0 <= level < math.inf:
+        raise ValueError("truncation level must be finite and >= 1")
     x0, z0 = initial_state(envelope.model, rng, x0, z0)
     # times, velocities, thetas, phis, thresholds and bounds, in order
     atoms = envelope.candidates(0.0, level, rng, SimConfig.max_events)[:6]
@@ -153,22 +156,20 @@ def picard_pass(model, kernel, noise, prev):
     s = noise.times
     v = noise.velocities
     base_now = prev.z_left
+    z_proj = project_j(base_now, j)
 
     # an unchanged base keeps its frame bit for bit; tanaka_rotation
     # would return roundoff instead of an exact zero turn
     psi = prev.psi.copy()
     moved = np.any(base_now != prev.base_z_left, axis=1)
     old_base = project_j(prev.base_z_left[moved], j)
-    psi[moved] += tanaka_rotation(
-        old_base, v[moved], project_j(base_now[moved], j), v[moved]
-    )
+    psi[moved] += tanaka_rotation(old_base, v[moved], z_proj[moved], v[moved])
 
-    intensity = jump_intensity(
-        model, kernel, s, prev.x_at, base_now, v, j, noise.bounds
-    )
+    intensity = jump_intensity(model, kernel, s, prev.x_at, z_proj, v)
+    check_envelope(intensity, noise.bounds, s, j)
     accepted = noise.thresholds < intensity
-    kicks = alpha_j(
-        base_now[accepted], v[accepted], noise.thetas[accepted], psi[accepted], j
+    kicks = deflection_alpha(
+        z_proj[accepted], v[accepted], noise.thetas[accepted], psi[accepted]
     )
     return _assemble(noise, accepted, kicks, psi, base_now.copy())
 

@@ -10,7 +10,11 @@ The projected speed never exceeds ``min(j, |z|)`` (this requires
 Lipschitz.  The localized transfer and cross section are
 
     alpha_j(z, v, theta, phi) = alpha(project_j(z), v, theta, phi)
-    sigma_j(z, v) = sigma(|project_j(z) - v|).
+    sigma(|project_j(z) - v|),
+
+the latter bounded by ``c (j + |v|)**gamma`` for ``gamma >= 0``
+uniformly in ``z``; :func:`boltzgas.engine.jump_intensity` evaluates it
+on rows already projected.
 
 Localization breaks exact energy conservation outside the ball; the
 defect in the post-collision energy balance is
@@ -25,27 +29,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import deflection_alpha, row_norms
-from .kernels import sigma
+from .geometry import deflection_alpha
 
-__all__ = ["project_j", "alpha_j", "sigma_j", "energy_defect"]
+__all__ = ["project_j", "alpha_j", "energy_defect"]
 
 
-def _checked(j, *vectors):
-    """Truncation level(s) and 3-vector inputs as float64, validated.
+def _checked(j, z):
+    """Truncation level(s) and 3-vector input as float64, validated.
 
-    Levels must be finite and ``>= 1``; vectors must be finite with
-    3 entries on the last axis.
+    Levels must be finite and ``>= 1``; ``z`` must be finite with 3
+    entries on the last axis.
     """
     j = np.asarray(j, dtype=np.float64)
     # one comparison pair rejects NaN, infinities and levels below one
     if not ((j >= 1.0) & (j < np.inf)).all():
         raise ValueError(f"truncation level must be a finite real >= 1, got {j}")
-    vectors = [np.asarray(a, dtype=np.float64) for a in vectors]
-    for a in vectors:
-        if a.shape[-1:] != (3,) or not np.isfinite(a).all():
-            raise ValueError(f"expected finite 3-vectors, got shape {a.shape}")
-    return (j, *vectors)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape[-1:] != (3,) or not np.isfinite(z).all():
+        raise ValueError(f"expected finite 3-vectors, got shape {z.shape}")
+    return j, z
 
 
 def project_j(z, j):
@@ -65,11 +67,7 @@ def project_j(z, j):
         ``z / (1 + max(|z| - j, 0))``; bitwise equal to ``z`` on
         ``|z| <= j``, with norm at most ``min(j, |z|)`` otherwise.
     """
-    return _project(*_checked(j, z))
-
-
-def _project(j, z):
-    """:func:`project_j` on inputs already validated by :func:`_checked`."""
+    j, z = _checked(j, z)
     d = np.maximum(np.linalg.norm(z, axis=-1) - j, 0.0)[..., np.newaxis]
     return np.where(d > 0.0, z / (1.0 + d), z)
 
@@ -80,28 +78,6 @@ def alpha_j(z, v, theta, phi, j):
     Equals the untruncated transfer whenever ``|z| <= j``.
     """
     return deflection_alpha(project_j(z, j), v, theta, phi)
-
-
-def sigma_j(spec, z, v, j):
-    """Localized cross section ``sigma(|project_j(z) - v|)``.
-
-    Bounded by ``c * (j + |v|)**gamma`` for ``gamma >= 0`` uniformly in
-    ``z``, which is what makes thinning majorants finite.
-
-    Parameters
-    ----------
-    spec : kernels.KernelSpec
-    z, v : array_like, shape (..., 3)
-    j : float or array_like
-        Truncation level(s), ``>= 1``, one for every row or one per row.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        One value per row, equal to that of the row alone.
-    """
-    j, z, v = _checked(j, z, v)
-    return sigma(spec, row_norms(_project(j, z) - v))
 
 
 def energy_defect(z, v, theta, phi, j):

@@ -34,6 +34,7 @@ from boltzgas.kernels import (
 )
 from boltzgas.quadrature import gauss_hermite_3d, radial_gaussian_moment
 from boltzgas.rng import stream
+from boltzgas.truncation import project_j
 
 NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 
@@ -411,12 +412,12 @@ class TestPerRowTimes:
         x = 1.5 * rng.standard_normal((n, 3))
         z = 2.0 * rng.standard_normal((n, 3))
         v = model.sample_velocity(0.0, rng, n)
-        bounds = np.full(n, np.inf)
         # level 1.5 projects some of the z rows
-        rows = jump_intensity(model, kernel, t, x, z, v, 1.5, bounds)
+        z = project_j(z, 1.5)
+        rows = jump_intensity(model, kernel, t, x, z, v)
         assert rows.shape == (n,)
         for a in range(n):
-            one = jump_intensity(model, kernel, t[a], x[a], z[a], v[a], 1.5, np.inf)
+            one = jump_intensity(model, kernel, t[a], x[a], z[a], v[a])
             assert one.shape == (1,)
             assert rows[a] == one[0], a
 

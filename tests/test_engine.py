@@ -44,11 +44,14 @@ class TestSimConfig:
             engine.SimConfig(horizon=1.0, level_step=0.0)
 
     def test_rejects_nan_level_and_step(self):
-        # NaN fails every comparison, so a plain `level < 1` lets it in
-        with pytest.raises(ValueError, match="level must be"):
-            engine.SimConfig(horizon=1.0, level=math.nan)
-        with pytest.raises(ValueError, match="step"):
-            engine.SimConfig(horizon=1.0, level_step=math.nan)
+        # NaN fails every comparison, so a plain `level < 1` lets it in;
+        # an infinite level overflows the block size, an infinite step
+        # makes every escalation infinite
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="level must be"):
+                engine.SimConfig(horizon=1.0, level=bad)
+            with pytest.raises(ValueError, match="step"):
+                engine.SimConfig(horizon=1.0, level_step=bad)
 
 
 class TestMajorantRate:
@@ -266,22 +269,21 @@ class TestBlockContract:
         t = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         level = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
         intensity = engine.jump_intensity(
-            box, HARD_SPHERE_LINEAR, t, np.zeros((5, 3)), z, v, level, np.inf
+            box, HARD_SPHERE_LINEAR, t, np.zeros((5, 3)), project_j(z, level), v
         )
         bound = intensity.copy()
+        engine.check_envelope(intensity, bound, t, level)
         bound[[1, 3]] *= 0.5
         with pytest.raises(engine.EnvelopeError, match=r"at t=0\.2, level=3\.0$"):
-            engine.jump_intensity(
-                box, HARD_SPHERE_LINEAR, t, np.zeros((5, 3)), z, v, level, bound
-            )
+            engine.check_envelope(intensity, bound, t, level)
 
 
 def reference_lockstep(model, kernel, config, rngs, x0, z0, log_events):
     """The engine by its definition: every live path's next candidate per slot.
 
-    Each slot decides one candidate of every live path in one
-    ``jump_intensity`` call, which checks the envelope on every row, and
-    kicks the accepted rows with ``alpha_j``.
+    Each slot decides one candidate of every live path by the intensity
+    ``sigma(|project_j(z) - v|) f(t, x | v)``, checks the envelope on
+    every row, and kicks the accepted rows with ``alpha_j``.
     """
     n = len(rngs)
     states = [engine.initial_state(model, rng, x0, z0) for rng in rngs]
@@ -322,9 +324,12 @@ def reference_lockstep(model, kernel, config, rngs, x0, z0, log_events):
             break
         s, v = drawn.times[k], drawn.velocities[k]
         x_now = x + (s - t_last)[:, np.newaxis] * z
-        accepted = drawn.thresholds[k] < engine.jump_intensity(
-            model, kernel, s, x_now, z, v, level, drawn.bounds[k]
+        z_proj = project_j(z, level)
+        intensity = sigma(kernel, row_norms(z_proj - v)) * model.conditional(
+            s, x_now, v
         )
+        engine.check_envelope(intensity, drawn.bounds[k], s, level)
+        accepted = drawn.thresholds[k] < intensity
         visits.append((paths, k, accepted, level))
         k = k + 1
         hit = accepted.nonzero()[0]
@@ -455,12 +460,13 @@ class TestRounds:
         later = slice(1, engine._WINDOW)
         assert block.times[0] < 0.5 < block.times[later][-1]
         # read at the pre-jump state, the first window's later rows fail
+        s = block.times[later]
+        intensity = engine.jump_intensity(
+            box, HARD_SPHERE_UNIT, s, s[:, np.newaxis] * z0, project_j(z0, 4.0),
+            block.velocities[later],
+        )
         with pytest.raises(engine.EnvelopeError):
-            engine.jump_intensity(
-                box, HARD_SPHERE_UNIT, block.times[later],
-                block.times[later, np.newaxis] * z0, z0, block.velocities[later],
-                4.0, block.bounds[later],
-            )
+            engine.check_envelope(intensity, block.bounds[later], s, 4.0)
         expected = reference_lockstep(
             box, HARD_SPHERE_UNIT, cfg, [stream(89, 0)], x0, z0, True
         )
@@ -471,7 +477,7 @@ class TestRounds:
 class TestFlatKernelBox:
     """gamma = 0 in a box makes every candidate a jump.
 
-    The intensity sigma_j * f(t, x | v) then equals its envelope
+    The intensity sigma * f(t, x | v) then equals its envelope
     c / side^3 identically, so the accepted events are exactly the
     candidate clock: a Poisson process of known rate.
     """
@@ -772,11 +778,19 @@ class TestTimeDependentBackground:
 class TestInitialState:
     def test_bad_shapes_rejected(self):
         box = densities.BoxMaxwellianModel()
-        cfg = engine.SimConfig(horizon=1.0)
-        with pytest.raises(ValueError, match="3-vector"):
-            engine.simulate(
-                box, HARD_SPHERE_UNIT, cfg, stream(1, 0), x0=[1.0, 2.0], z0=[0.0] * 3
-            )
+        # an infinite speed would never end the level escalation, and free
+        # streaming would carry a NaN into the path
+        bad = [
+            ([1.0, 2.0], [0.0] * 3),
+            (np.zeros(3), [math.inf, 0.0, 0.0]),
+            (np.zeros(3), [math.nan, 0.0, 0.0]),
+            ([0.0, -math.inf, 0.0], np.zeros(3)),
+            ([0.0, 0.0, math.nan], None),
+        ]
+        for collisions, (x0, z0) in itertools.product((True, False), bad):
+            cfg = engine.SimConfig(horizon=1.0, collisions=collisions)
+            with pytest.raises(ValueError, match="3-vector"):
+                engine.simulate(box, HARD_SPHERE_UNIT, cfg, stream(1, 0), x0, z0)
 
     def test_default_state_drawn_from_model(self):
         box = densities.BoxMaxwellianModel(side=2.0)

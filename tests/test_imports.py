@@ -60,6 +60,22 @@ def test_no_module_imports_private_names_of_another():
     assert offenders == {}
 
 
+def test_every_exported_name_resolves():
+    # a deleted function can leave a stale __all__ entry that only a star
+    # import would trip over
+    modules = ["boltzgas"] + [
+        f"boltzgas.{path.stem}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    stale = {}
+    for name in modules:
+        module = importlib.import_module(name)
+        if missing := [n for n in module.__all__ if not hasattr(module, n)]:
+            stale[name] = missing
+    assert stale == {}
+
+
 def package_names(source):
     """``(module, name)`` pairs that a script reads from ``boltzgas``.
 

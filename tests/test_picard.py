@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 import boltzgas as bg
 from boltzgas import densities, kernels, picard
 from boltzgas.diagnostics import Energy, weak_residual
-from boltzgas.engine import Envelope, EnvelopeError, jump_intensity
-from boltzgas.geometry import tanaka_rotation
+from boltzgas.engine import Envelope, EnvelopeError, check_envelope
+from boltzgas.geometry import row_norms, tanaka_rotation
 from boltzgas.rng import stream
 from boltzgas.truncation import alpha_j, project_j
 
@@ -52,9 +52,11 @@ def reference_pass(model, kernel, noise, prev):
         z_left[a] = z
         x_here = x + (s - t_last) * z
         x_at[a] = x_here
-        intensity = jump_intensity(
-            model, kernel, s, prev.x_at[a], base_now, v, j, noise.bounds[a]
+        speed = row_norms(project_j(base_now, j) - v)
+        intensity = kernels.sigma(kernel, speed) * model.conditional(
+            s, prev.x_at[a], v
         )
+        check_envelope(intensity, noise.bounds[a], s, j)
         if noise.thresholds[a] < intensity:
             accepted[a] = True
             z = z + alpha_j(base_now, v, noise.thetas[a], psi[a], j)
@@ -129,8 +131,10 @@ class TestFrozenNoise:
         assert np.all((noise.times >= 0.0) & (noise.times <= 0.7))
 
     def test_level_below_one_rejected(self):
-        with pytest.raises(ValueError, match="level"):
-            picard.frozen_noise(BOX, SPEC, 0.5, 1.0, stream(1, 0))
+        # NaN and infinity are refused before any noise is drawn
+        for bad in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="level"):
+                picard.frozen_noise(BOX, SPEC, bad, 1.0, stream(1, 0))
 
 
 def _empirical_snapshot():

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from boltzgas.geometry import deflection_alpha
-from boltzgas.kernels import HARD_SPHERE, KernelSpec
-from boltzgas.truncation import alpha_j, energy_defect, project_j, sigma_j
+from boltzgas.densities import BoxMaxwellianModel
+from boltzgas.engine import jump_intensity
+from boltzgas.geometry import deflection_alpha, row_norms
+from boltzgas.kernels import HARD_SPHERE, KernelSpec, sigma
+from boltzgas.truncation import alpha_j, energy_defect, project_j
+
+
+def truncated_sigma(spec, z, v, j):
+    """The localized cross section ``sigma(|project_j(z) - v|)``."""
+    return sigma(spec, row_norms(project_j(z, j) - v))
 
 
 class TestProjection:
@@ -86,16 +93,21 @@ class TestTruncatedRate:
         z = 50.0 * rng.standard_normal((n, 3))
         v = 5.0 * rng.standard_normal((n, 3))
         j = 3.0
-        rate = sigma_j(spec, z, v, j)
+        rate = truncated_sigma(spec, z, v, j)
         bound = spec.c * (j + np.linalg.norm(v, axis=1)) ** spec.gamma
         assert np.all(rate <= bound * (1.0 + 1e-14))
+        # a unit box has f(t, x | v) = 1, so the engine's intensity is the
+        # cross section itself
+        unit = BoxMaxwellianModel(side=1.0)
+        intensity = jump_intensity(unit, spec, 0.0, np.zeros(3), project_j(z, j), v)
+        assert np.array_equal(intensity, rate)
 
     def test_gamma_zero_constant(self):
         spec = KernelSpec(gamma=0.0, c=2.0, angular=HARD_SPHERE)
         rng = np.random.default_rng(66)
         z = rng.standard_normal((100, 3))
         v = rng.standard_normal((100, 3))
-        assert_allclose(sigma_j(spec, z, v, 2.0), 2.0, rtol=0.0)
+        assert_allclose(truncated_sigma(spec, z, v, 2.0), 2.0, rtol=0.0)
 
 
 class TestEnergyDefect:
@@ -153,7 +165,7 @@ class TestShapeRule:
         return {
             "project": lambda z, v, th, ph: project_j(z, 2.0),
             "alpha": lambda z, v, th, ph: alpha_j(z, v, th, ph, 2.0),
-            "sigma": lambda z, v, th, ph: sigma_j(spec, z, v, 2.0),
+            "sigma": lambda z, v, th, ph: truncated_sigma(spec, z, v, 2.0),
             "defect": lambda z, v, th, ph: energy_defect(z, v, th, ph, 2.0),
         }
 
@@ -188,7 +200,9 @@ class TestShapeRule:
     def test_every_function_rejects_bad_vectors(self, bad):
         good = np.array([0.3, -0.2, 1.0])
         for name, call in self.calls().items():
-            if name != "project":
+            # the cross section checks z through project_j; its v rows are
+            # candidate draws, which kernels.sigma takes unchecked
+            if name not in ("project", "sigma"):
                 with pytest.raises(ValueError):
                     call(good, bad, 1.0, 0.4)
             with pytest.raises(ValueError):
