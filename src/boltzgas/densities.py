@@ -537,6 +537,23 @@ class BKWModel(RadialBoxModel):
         )
 
 
+def _shifted_mean_speeds(speeds, h):
+    """``E|mu + h xi|`` for a standard normal ``xi`` in 3-d, per speed ``|mu|``.
+
+    The mean of a noncentral chi law with three degrees of freedom,
+
+        h (sqrt(2/pi) exp(-a^2/2) + (a + 1/a) erf(a/sqrt(2))),  a = |mu|/h,
+
+    which tends to ``2 h sqrt(2/pi)`` as ``a -> 0``.
+    """
+    a = speeds / h
+    erf = np.array([math.erf(x) for x in a / math.sqrt(2.0)])
+    # erf(a/sqrt(2))/a, and its limit sqrt(2/pi) at a = 0
+    ratio = np.divide(erf, a, out=np.full(len(a), math.sqrt(2.0 / math.pi)),
+                      where=a > 0.0)
+    return h * (math.sqrt(2.0 / math.pi) * np.exp(-0.5 * a * a) + a * erf + ratio)
+
+
 class MollifiedEmpiricalModel(DensityModel):
     """Gaussian-mollified empirical measure of a particle snapshot.
 
@@ -572,9 +589,8 @@ class MollifiedEmpiricalModel(DensityModel):
         self.h_v = float(h_v)
         self.box_side = None if side is None else float(side)
         self._speeds = np.linalg.norm(velocities, axis=1)
-        # E|v_i + h_v xi| has a closed radial-integral form; precompute
-        # the per-particle means once since the snapshot never changes.
-        self._tilt_masses = radial_gaussian_moment(self._speeds, self.h_v**2, 0, 1)
+        # the per-particle mean speeds, once, since the snapshot never changes
+        self._tilt_masses = _shifted_mean_speeds(self._speeds, self.h_v)
 
     @classmethod
     def from_csv(cls, path, h_x, h_v, side=None):

@@ -283,7 +283,9 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
         index = [distinct.index(pq) for pq in wanted]
         ps, qs = zip(*distinct)
         moments = np.empty((len(orders), len(z)))
-        # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per speed
+        # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per
+        # speed, each speed in its own window, so the blocks bound memory
+        # and never move a float
         for rows in pair_blocks(len(z), n_nodes // 2 + n_nodes):
             r = y_norm[rows]
             t = radial_gaussian_moment(
@@ -304,7 +306,7 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
     return 2.0 * math.pi * kernel.c * total
 
 
-def collision_action(model, kernel, psi, t, z, level=None, n_nodes=400):
+def collision_action(model, kernel, psi, t, z, level=None, n_nodes=64):
     """Generator of the collision jumps applied to ``psi`` at ``z``.
 
     Includes the uniform spatial weight ``1 / side^3`` of the
@@ -371,7 +373,7 @@ def _pair_overlap(model, t):
 
 
 def collision_invariant_residual(
-    model, kernel, psi, t=0.0, tolerance=1e-6, n_outer=24, n_nodes=400
+    model, kernel, psi, t=0.0, tolerance=1e-6, n_outer=24, n_nodes=64
 ):
     """Quadrature of the collision form of the model against ``psi``.
 
@@ -421,7 +423,7 @@ def collision_invariant_residual(
     )
 
 
-def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=400):
+def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=64):
     """Per-sample kinetic-energy exchange rate with the background.
 
     For each tagged velocity the closed rate of change of ``|Z|^2`` is
@@ -471,7 +473,7 @@ def weak_residual(
     horizon=None,
     collisions=True,
     tolerance=1e-9,
-    n_nodes=400,
+    n_nodes=64,
 ):
     """Pathwise weak-form residual of an ensemble against ``psi``.
 

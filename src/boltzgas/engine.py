@@ -370,8 +370,12 @@ def check_envelope(intensity, bound, t, level):
 
 
 def _above(intensity, bound):
-    """Where ``intensity`` exceeds ``bound`` beyond a relative roundoff slack."""
-    return intensity > bound * (1.0 + 1e-9)
+    """Where ``intensity`` exceeds ``bound`` beyond a relative roundoff slack.
+
+    A NaN intensity counts as exceeding it, since no thinning decision
+    against it would be right.
+    """
+    return ~np.less_equal(intensity, bound * (1.0 + 1e-9))
 
 
 def initial_state(model, rng, x0=None, z0=None):

@@ -49,7 +49,11 @@ def _gl_cache(n):
 
 
 def gauss_legendre(n, a, b):
-    """Gauss-Legendre nodes and weights on ``[a, b]``."""
+    """Gauss-Legendre nodes and weights on ``[a, b]``.
+
+    With columns ``a`` and ``b`` of several intervals, one row of nodes
+    and weights per interval.
+    """
     x, w = _gl_cache(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
@@ -106,14 +110,16 @@ def sphere_exp_moments_scaled(a, pmax):
         # series of powers feeds every order of matching parity
         acc = np.zeros((pmax + 1,) + asm.shape)
         term_pow = np.ones_like(asm)
+        neg = -asm
         fact = 1.0
-        for k in range(0, 40):
+        # a fixed number of terms, so that no entry's value depends on
+        # the others: below a = 0.5 the first term left out, k = 17, is
+        # under 0.5^17 / 17! < 1e-19
+        for k in range(17):
             for p in range(k % 2, pmax + 1, 2):
                 acc[p] += term_pow / (fact * (p + k + 1))
-            term_pow = term_pow * (-asm)
+            term_pow *= neg
             fact *= k + 1
-            if k > 6 and np.all(np.abs(term_pow) / fact < 1e-18):
-                break
         acc *= 2.0
         acc *= ea
         out[:, small] = acc
@@ -132,32 +138,39 @@ def sphere_exp_moments_scaled(a, pmax):
     return out
 
 
-def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
+def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
     """Primitive ``T_{p,q}`` by fixed-order radial Gauss-Legendre.
 
     Computes ``int |w|^q ((z/|z|) . (w/|w|))^p M(z + w; s) dw`` for a
     batch of speeds ``|z|``.  The radial integrand is a Gaussian bump
-    centered at ``r = |z|`` of width ``sqrt(s)``; the node window covers
-    ``[0, max |z| + 14 sqrt(s)]``, the only way a speed's value depends
-    on the other speeds of the call.  Several orders share the nodes, the
-    Gaussian factor and one sphere-moment table up to the largest ``p``.
+    centered at ``r = |z|`` of width ``sqrt(s)``.  Every speed has its
+    own node window: a head ``[0, sqrt(s)]`` shared by all speeds and a
+    tail ``[max(sqrt(s), |z| - 14 sqrt(s)), |z| + 14 sqrt(s)]``, at most
+    ``29 sqrt(s)`` wide whatever ``|z|`` is.  A speed's value therefore
+    depends on its own speed only, never on the other speeds of the
+    call.  Several orders share the nodes, the Gaussian factor and one
+    sphere-moment table up to the largest ``p``.
 
     Parameters
     ----------
     z_norm : array_like
-        Speeds ``|z| >= 0``.
+        Finite speeds ``|z| >= 0``.
     s : float
-        Per-component variance of the Maxwellian.
+        Per-component variance ``> 0`` of the Maxwellian.
     p : int or sequence of int
         Sphere-moment order (0..6), or one order per result row.
     q : float or sequence of float
         Radial power ``> -3``, or one power per entry of ``p``.
     n_nodes : int
-        Gauss-Legendre order.
+        Gauss-Legendre order ``>= 2`` of each speed's window: its tail
+        takes ``n_nodes`` nodes and the shared head ``n_nodes // 2``.
     radial_factor : callable, optional
         Extra isotropic weight ``F(|w|)`` multiplied into the integrand,
-        evaluated on the radial node array.  Position-overlap factors of
-        product densities enter through this hook.
+        evaluated on the ``(speeds, nodes)`` array of every speed's radial
+        nodes.  Position-overlap factors of product densities enter
+        through this hook.  The windows follow the Gaussian bump, so with
+        ``|F| <= 1`` what lies outside them is under ``e^-98`` of the
+        unweighted integral.
 
     Returns
     -------
@@ -167,43 +180,52 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=400, radial_factor=None):
         order stacked along a new first axis.
     """
     zn = np.atleast_1d(np.asarray(z_norm, dtype=np.float64))
-    if np.any(zn < 0.0):
-        raise ValueError("speeds must be nonnegative")
+    # negated comparisons, so that NaN fails them too
+    if not np.all((zn >= 0.0) & (zn < np.inf)):
+        raise ValueError("speeds must be nonnegative and finite")
+    if not 0.0 < s < np.inf:
+        raise ValueError(f"variance must be positive and finite, got {s}")
+    if not n_nodes >= 2:
+        raise ValueError(f"need at least 2 radial nodes, got {n_nodes}")
     orders = np.ndim(p) > 0
     ps, qs = (list(p), list(q)) if orders else ([p], [q])
     if len(ps) != len(qs):
         raise ValueError(f"{len(ps)} sphere orders but {len(qs)} radial powers")
     for qi in qs:
-        if qi <= -3.0:
+        if not qi > -3.0:
             raise ValueError(f"radial power must exceed -3, got {qi}")
-    rmax = float(np.max(zn)) + 14.0 * np.sqrt(s)
+    root = np.sqrt(s)
     # Fractional q makes r**(2+q) non-analytic at r = 0, which stalls
     # Gauss-Legendre there; the chart r = u^2 doubles the exponent and
     # restores spectral accuracy on the head of the integral.
-    r_split = min(float(np.sqrt(s)), rmax / 2.0)
-    u, u_wts = gauss_legendre(n_nodes // 2, 0.0, np.sqrt(r_split))
-    r_head = u * u
-    w_head = 2.0 * u * u_wts
-    r_tail, w_tail = gauss_legendre(n_nodes, r_split, rmax)
-    r = np.concatenate([r_head, r_tail])
-    wts = np.concatenate([w_head, w_tail])
-    a = zn[:, np.newaxis] * r[np.newaxis, :] / s
-    mom = sphere_exp_moments_scaled(a, max(ps))
-    expo = np.exp(-((r[np.newaxis, :] - zn[:, np.newaxis]) ** 2) / (2.0 * s))
+    u, u_wts = gauss_legendre(n_nodes // 2, 0.0, np.sqrt(root))
+    # Outside a speed's window the bump is under e^-98 of its peak.
+    zc = zn[:, np.newaxis]
+    r_tail, w_tail = gauss_legendre(
+        n_nodes, np.maximum(root, zc - 14.0 * root), zc + 14.0 * root
+    )
+    shape = (len(zn), len(u))
+    r = np.concatenate([np.broadcast_to(u * u, shape), r_tail], axis=1)
+    wts = np.concatenate([np.broadcast_to(2.0 * u * u_wts, shape), w_tail], axis=1)
+    mom = sphere_exp_moments_scaled(r * (zc / s), max(ps))
+    # the weights carry every factor that no order changes
+    gauss = r - zc
+    gauss *= gauss
+    gauss *= -0.5 / s
+    wts *= np.exp(gauss, out=gauss)
     if radial_factor is not None:
-        factor = np.asarray(radial_factor(r), dtype=np.float64)
-    pref = 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
+        wts *= radial_factor(r)
     out = np.empty((len(ps), len(zn)))
-    for row, pi, qi in zip(out, ps, qs):
-        vals = r ** (2.0 + qi) * expo * mom[pi]
-        if radial_factor is not None:
-            vals = vals * factor
-        # vecdot rounds each speed's sum alike however many speeds there
-        # are; a BLAS matrix-vector product does not
-        row[:] = np.vecdot(pref * vals, wts)
+    # one power per distinct q, held one at a time
+    for qi in dict.fromkeys(qs):
+        power = r ** (2.0 + qi)
+        for row in (k for k, q in enumerate(qs) if q == qi):
+            # vecdot rounds each speed's sum alike however many speeds
+            # there are; a BLAS matrix-vector product does not
+            out[row] = np.vecdot(power * mom[ps[row]], wts)
+    out *= 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
     if np.ndim(z_norm) == 0:
         out = out[:, 0]
     if orders:
         return out
     return float(out[0]) if np.ndim(z_norm) == 0 else out[0]
-

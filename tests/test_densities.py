@@ -746,6 +746,21 @@ class TestMollifiedEmpiricalModel:
         by_quadrature = radial_gaussian_moment(speeds, model.h_v**2, 0, 2).mean()
         assert_allclose(model.speed_moment(0.0, 2), by_quadrature, rtol=1e-13)
 
+    def test_mean_speed_is_closed_form(self):
+        # one-particle snapshots: the mean speed is E|v_1 + h_v xi| itself
+        speeds = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.01, 10.0, 60)])
+        by_quadrature = radial_gaussian_moment(speeds, 0.3**2, 0, 1)
+        for speed, want in zip(speeds, by_quadrature):
+            v = np.array([[0.0, 0.6, 0.8]]) * speed
+            model = MollifiedEmpiricalModel(np.zeros((1, 3)), v, h_x=0.2, h_v=0.3)
+            assert_allclose(model.mean_speed(0.0), want, rtol=5e-13)
+        assert_allclose(
+            MollifiedEmpiricalModel(np.zeros((1, 3)), np.zeros((1, 3)), 0.2, 0.3)
+            .mean_speed(0.0),
+            2.0 * 0.3 * math.sqrt(2.0 / math.pi),
+            rtol=1e-15,
+        )
+
     def test_speed_sq_bound_evaluates_once(self):
         model = self.make_model(n=40)
         calls = []

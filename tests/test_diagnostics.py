@@ -734,7 +734,9 @@ class TestBatchedOrders:
         # 600 radial nodes per speed: two pair blocks of 3333 and 167 rows
         blocks = list(densities.pair_blocks(len(z), 600))
         assert len(blocks) == 2
-        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=level)
+        got = collision_action(
+            bkw, GRAZING_KERNEL, psi, 0.3, z, level=level, n_nodes=400
+        )
         want = reference_collision_action(
             bkw, GRAZING_KERNEL, psi, 0.3, z, level, 400
         )
@@ -753,7 +755,9 @@ class TestBatchedOrders:
         bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
         z = 1.2 * np.random.default_rng(32).standard_normal((3500, 3))
         psi = Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])
-        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=1.5)
+        got = collision_action(
+            bkw, GRAZING_KERNEL, psi, 0.3, z, level=1.5, n_nodes=400
+        )
         # two components, two pair blocks each
         assert [(rows, len(orders)) for rows, orders in calls] == [
             (3333, 3), (167, 3), (3333, 7), (167, 7)
@@ -764,6 +768,32 @@ class TestBatchedOrders:
             bkw, GRAZING_KERNEL, psi, 0.3, z, 1.5, 400
         )
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "psi", [Energy(), Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])],
+        ids=["energy", "quadratic"],
+    )
+    @pytest.mark.parametrize("nodes", [{}, {"n_nodes": 400}],
+                             ids=["default", "two-blocks"])
+    def test_rows_do_not_depend_on_the_call(self, psi, nodes):
+        # every speed has its own radial window, so neither the other
+        # rows nor the pair blocks they fall into move a row's value
+        bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
+        rng = np.random.default_rng(33)
+        z = 1.2 * rng.standard_normal((3500, 3))
+        z[::7] *= 6.0
+        levels = rng.integers(1, 9, size=len(z)).astype(np.float64)
+        whole = collision_action(
+            bkw, GRAZING_KERNEL, psi, 0.3, z, level=levels, **nodes
+        )
+        parts = np.concatenate([
+            collision_action(
+                bkw, GRAZING_KERNEL, psi, 0.3, z[lo:lo + 100],
+                level=levels[lo:lo + 100], **nodes,
+            )
+            for lo in range(0, len(z), 100)
+        ])
+        assert whole.tobytes() == parts.tobytes()
 
 
 BKW = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)

@@ -645,6 +645,30 @@ class TestEventReplay:
                 engine.simulate(box, HARD_SPHERE_UNIT, cfg, stream(5, i))
 
 
+class NaNDensityBox(densities.BoxMaxwellianModel):
+    """Box envelope, but every conditional density is NaN."""
+
+    def conditional(self, t, x, v):
+        return np.full(len(np.atleast_2d(x)), np.nan)
+
+
+class TestNaNIntensity:
+    def test_check_envelope_flags_nan(self):
+        with pytest.raises(engine.EnvelopeError, match="jump intensity nan"):
+            engine.check_envelope(math.nan, 1.0, 0.2, 3.0)
+        with pytest.raises(engine.EnvelopeError, match="jump intensity nan"):
+            engine.check_envelope(np.array([0.5, math.nan]), np.ones(2), 0.2, 3.0)
+        engine.check_envelope(1.0, 1.0, 0.2, 3.0)
+
+    def test_simulate_raises_on_a_nan_density(self):
+        box = NaNDensityBox(side=1.0, vel_var=1.0)
+        cfg = engine.SimConfig(horizon=1.0, level=4.0)
+        with pytest.raises(engine.EnvelopeError, match="jump intensity nan"):
+            engine.simulate(box, HARD_SPHERE_UNIT, cfg, stream(5, 0))
+        with pytest.raises(engine.EnvelopeError, match="jump intensity nan"):
+            engine.simulate_ensemble(box, HARD_SPHERE_UNIT, cfg, seed=5, n_paths=4)
+
+
 class TestLevelEscalation:
     def test_speed_never_exceeds_level_when_escalating(self):
         gm = densities.GaussianProductModel()

@@ -166,3 +166,20 @@ def test_import_loads_numpy_only():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_builds_no_quadrature_rule():
+    # a rule or table built on import is paid in every process's set-up
+    probe = (
+        "import boltzgas; from boltzgas import quadrature; "
+        "print(quadrature._gl_cache.cache_info().currsize, "
+        "quadrature._gh_cache.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=PACKAGE_DIR.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "0"]

@@ -235,6 +235,13 @@ class ZeroDensityBox(densities.BoxMaxwellianModel):
         return np.zeros(len(np.atleast_2d(x)))
 
 
+class NaNDensityBox(densities.BoxMaxwellianModel):
+    """Box envelope, but every conditional density is NaN."""
+
+    def conditional(self, t, x, v):
+        return np.full(len(np.atleast_2d(x)), np.nan)
+
+
 class TestInitialIterate:
     def test_free_flight(self):
         noise = make_noise()
@@ -297,6 +304,13 @@ class TestPicardPass:
         assert noise.n_atoms > 0
         with pytest.raises(EnvelopeError, match="exceeds envelope"):
             picard.picard_pass(box, flat, noise, picard.initial_iterate(noise))
+
+    def test_nan_density_raises(self):
+        box = NaNDensityBox(side=1.0, vel_var=1.0)
+        noise = picard.frozen_noise(box, SPEC, 4.0, 1.0, stream(5, 0))
+        assert noise.n_atoms > 0
+        with pytest.raises(EnvelopeError, match="jump intensity nan"):
+            picard.picard_iterates(box, SPEC, noise, 3)
 
     def test_kicks_use_previous_iterate_base(self):
         noise = make_noise(seed=21)

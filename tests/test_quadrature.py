@@ -217,3 +217,59 @@ class TestOrderSequences:
             radial_gaussian_moment(np.array([1.0]), 1.0, [0, 1], [1.0])
         with pytest.raises(ValueError, match="exceed -3"):
             radial_gaussian_moment(np.array([1.0]), 1.0, [0, 1], [1.0, -3.0])
+
+
+class TestPerSpeedWindows:
+    # speeds 0, 1e-9, far below, about and far above sqrt(s), in units
+    # of sqrt(s); the orders p 0-2 with one fractional power each
+    RATIOS = [0.0, 1e-9, 1e-3, 0.05, 0.9, 1.0, 1.1, 3.0, 14.5, 40.0, 300.0]
+    PS = [0, 1, 2, 0, 1, 2]
+    QS = [0.0, 1.0, 2.5, -1.5, 3.5, 1.0]
+
+    @pytest.mark.parametrize("factor", [None, lambda r: np.exp(-0.3 * r * r)],
+                             ids=["plain", "radial_factor"])
+    @pytest.mark.parametrize("s", [0.05, 2.0])
+    def test_one_speed_call_is_its_row_of_the_batch(self, s, factor):
+        zn = np.array(self.RATIOS) * np.sqrt(s)
+        rows = radial_gaussian_moment(zn, s, self.PS, self.QS,
+                                      radial_factor=factor)
+        for k in range(len(zn)):
+            one = radial_gaussian_moment(zn[k], s, self.PS, self.QS,
+                                         radial_factor=factor)
+            assert one.tobytes() == rows[:, k].tobytes(), self.RATIOS[k]
+            for p, q, row in zip(self.PS, self.QS, rows):
+                single = radial_gaussian_moment(zn[k], s, p, q,
+                                                radial_factor=factor)
+                assert single == row[k], (self.RATIOS[k], p, q)
+
+    @pytest.mark.parametrize("s", [0.05, 2.0])
+    def test_far_apart_speeds_both_match_the_oracle(self, s):
+        # a speed at 300 sqrt(s) no longer spreads the nodes of a slow one
+        zn = np.array([0.7, 300.0]) * np.sqrt(s)
+        rows = radial_gaussian_moment(zn, s, self.PS, self.QS)
+        for row, p, q in zip(rows, self.PS, self.QS):
+            for k, z in enumerate(zn):
+                slow = radial_gaussian_moment_adaptive(z, s, p, q)
+                assert_allclose(row[k], slow, rtol=1e-9,
+                                err_msg=f"p={p} q={q} zn={z}")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("speed", [-0.5, np.nan, np.inf])
+    def test_speed_must_be_nonnegative_and_finite(self, speed):
+        with pytest.raises(ValueError, match="speeds must be nonnegative and finite"):
+            radial_gaussian_moment(np.array([1.0, speed]), 1.0, 0, 1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, np.nan, np.inf])
+    def test_variance_must_be_positive_and_finite(self, s):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            radial_gaussian_moment(np.array([1.0]), s, 0, 1.0)
+
+    @pytest.mark.parametrize("n_nodes", [1, 0, -4])
+    def test_at_least_two_nodes(self, n_nodes):
+        with pytest.raises(ValueError, match="at least 2 radial nodes"):
+            radial_gaussian_moment(np.array([1.0]), 1.0, 0, 1.0, n_nodes=n_nodes)
+
+    def test_nan_power_rejected(self):
+        with pytest.raises(ValueError, match="exceed -3"):
+            radial_gaussian_moment(np.array([1.0]), 1.0, 0, np.nan)
