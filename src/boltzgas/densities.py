@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import KernelSpec, angular_weighted_mass
-from .quadrature import gauss_hermite_3d, radial_gaussian_moment
+from .quadrature import gauss_hermite_3d, pair_blocks, radial_gaussian_moment
 
 __all__ = [
     "DensityModel",
@@ -48,7 +48,6 @@ __all__ = [
     "bkw_relaxation_rate",
     "bkw_fourth_moment",
     "maxwell_abs_moment",
-    "pair_blocks",
     "pair_kernel",
     "pair_sq_distances",
     "wrap_position",
@@ -127,22 +126,6 @@ def _gaussian_pdf_3d(delta, variance):
     """Isotropic Gaussian density evaluated at displacement rows."""
     norm = (2.0 * math.pi * variance) ** -1.5
     return norm * np.exp(-0.5 * np.sum(delta * delta, axis=-1) / variance)
-
-
-# Pairs held in memory at once by every row-by-centre computation: one
-# (3, rows, centres) float64 block of displacement planes is under 50 MB.
-_PAIR_BUDGET = 2_000_000
-
-
-def pair_blocks(n_rows, n_cols):
-    """Row slices of an ``n_rows`` by ``n_cols`` pair computation.
-
-    Each slice covers as many rows as fit in a fixed budget of pairs (at
-    least one), so peak memory does not grow with the query size.
-    """
-    step = max(1, _PAIR_BUDGET // max(n_cols, 1))
-    for lo in range(0, n_rows, step):
-        yield slice(lo, min(lo + step, n_rows))
 
 
 def pair_sq_distances(x, centers, side=None):
@@ -922,7 +905,11 @@ def _moment_suprema(model, times, x_grid, powers, n_nodes):
     return sups
 
 
-def certify_hypotheses(model, kernel, horizon, n_time=5, n_side=4, n_nodes=16):
+# Gauss-Hermite order per axis of the certificate's velocity integrals
+_HERMITE_NODES = 16
+
+
+def certify_hypotheses(model, kernel, horizon, n_time=5, n_side=4):
     """Measure the integrability bounds the jump construction relies on.
 
     For a grid of times and positions the following quantities are
@@ -940,8 +927,9 @@ def certify_hypotheses(model, kernel, horizon, n_time=5, n_side=4, n_nodes=16):
     Returns a :class:`CertificationReport`; no exception is raised for a
     failed bound so callers can inspect partial results.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    # a negated comparison, so that NaN fails it too
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     times = np.linspace(0.0, horizon, n_time)
     x_grid = _position_grid(model, horizon, n_side)
     report = CertificationReport(
@@ -954,8 +942,8 @@ def certify_hypotheses(model, kernel, horizon, n_time=5, n_side=4, n_nodes=16):
     declared.append(model.gradient_moment_bound(horizon))
     names.append("gradient_moment")
 
-    coarse = _moment_suprema(model, times, x_grid, powers, n_nodes)
-    fine = _moment_suprema(model, times, x_grid, powers, int(n_nodes * 1.5))
+    coarse = _moment_suprema(model, times, x_grid, powers, _HERMITE_NODES)
+    fine = _moment_suprema(model, times, x_grid, powers, int(_HERMITE_NODES * 1.5))
 
     for k, (name, bound) in enumerate(zip(names, declared)):
         drift = abs(fine[k] - coarse[k]) / max(abs(fine[k]), 1e-300)

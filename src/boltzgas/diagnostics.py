@@ -23,15 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import (
-    GaussianProductModel,
-    RadialBoxModel,
-    pair_blocks,
-    pair_sq_distances,
-)
+from .densities import GaussianProductModel, RadialBoxModel, pair_sq_distances
 from .geometry import orthonormal_frame
 from .kernels import angular_weighted_mass
-from .quadrature import gauss_hermite_3d, gauss_legendre, radial_gaussian_moment
+from .quadrature import (
+    gauss_hermite_3d, gauss_legendre, pair_blocks, radial_gaussian_moment
+)
 
 __all__ = [
     "TestFunction",
@@ -224,7 +221,7 @@ class ResidualReport:
         }
 
 
-def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
+def _reduced_action(kernel, components, z, level, radial_factor, A, b):
     """Azimuth- and angle-averaged collision action on a quadratic.
 
     Evaluates, for each row of ``z``,
@@ -282,18 +279,12 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
         distinct = list(dict.fromkeys(wanted))
         index = [distinct.index(pq) for pq in wanted]
         ps, qs = zip(*distinct)
-        moments = np.empty((len(orders), len(z)))
-        # radial_gaussian_moment takes n_nodes // 2 + n_nodes nodes per
-        # speed, each speed in its own window, so the blocks bound memory
-        # and never move a float
-        for rows in pair_blocks(len(z), n_nodes // 2 + n_nodes):
-            r = y_norm[rows]
-            t = radial_gaussian_moment(
-                r, s, ps, qs, n_nodes=n_nodes, radial_factor=radial_factor
-            )[index]
-            if comp.power2m == 1:
-                t = (r * r * t[0::3] + 2.0 * r * t[1::3] + t[2::3]) / (3.0 * s)
-            moments[:, rows] = t
+        moments = radial_gaussian_moment(
+            y_norm, s, ps, qs, radial_factor=radial_factor
+        )[index]
+        if comp.power2m == 1:
+            t0, t1, t2 = moments[0::3], moments[1::3], moments[2::3]
+            moments = (y_norm * y_norm * t0 + 2.0 * y_norm * t1 + t2) / (3.0 * s)
         linear = beta1 * (2.0 * z_norm * zaz + bz) * moments[0]
         quad = np.zeros_like(linear)
         if quadratic:
@@ -306,7 +297,7 @@ def _reduced_action(kernel, components, z, level, radial_factor, n_nodes, A, b):
     return 2.0 * math.pi * kernel.c * total
 
 
-def collision_action(model, kernel, psi, t, z, level=None, n_nodes=64):
+def collision_action(model, kernel, psi, t, z, level=None):
     """Generator of the collision jumps applied to ``psi`` at ``z``.
 
     Includes the uniform spatial weight ``1 / side^3`` of the
@@ -338,14 +329,8 @@ def collision_action(model, kernel, psi, t, z, level=None, n_nodes=64):
     if not psi.collision_active:
         return np.zeros(z.shape[0])
     inner = _reduced_action(
-        kernel,
-        model.radial_components(t),
-        z,
-        level,
-        None,
-        n_nodes,
-        psi.quad_matrix,
-        psi.lin_vector,
+        kernel, model.radial_components(t), z, level, None,
+        psi.quad_matrix, psi.lin_vector,
     )
     return inner * model.side**-3
 
@@ -372,9 +357,11 @@ def _pair_overlap(model, t):
     )
 
 
-def collision_invariant_residual(
-    model, kernel, psi, t=0.0, tolerance=1e-6, n_outer=24, n_nodes=64
-):
+# Gauss-Hermite order per axis of collision_invariant_residual's outer rule
+_OUTER_NODES = 24
+
+
+def collision_invariant_residual(model, kernel, psi, t=0.0, tolerance=1e-6):
     """Quadrature of the collision form of the model against ``psi``.
 
     Pairs the collision action with the model's own law,
@@ -391,21 +378,18 @@ def collision_invariant_residual(
     """
     if psi.quad_matrix is None:
         raise ValueError("invariant residuals need a velocity observable")
+    # a negated comparison, so that NaN fails it too
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     pref, radial_factor = _pair_overlap(model, t)
     components = model.radial_components(t)
     value = 0.0
     if psi.collision_active:
         for outer in components:
-            nodes, weights = gauss_hermite_3d(n_outer, outer.variance)
+            nodes, weights = gauss_hermite_3d(_OUTER_NODES, outer.variance)
             inner = _reduced_action(
-                kernel,
-                components,
-                nodes,
-                None,
-                radial_factor,
-                n_nodes,
-                psi.quad_matrix,
-                psi.lin_vector,
+                kernel, components, nodes, None, radial_factor,
+                psi.quad_matrix, psi.lin_vector,
             )
             if outer.power2m == 1:
                 tilt = np.sum(nodes * nodes, axis=1) / (3.0 * outer.variance)
@@ -419,11 +403,11 @@ def collision_invariant_residual(
         rhs=0.0,
         stderr=0.0,
         tolerance=tolerance,
-        details={"psi": psi.kind, "t": t, "n_outer": n_outer},
+        details={"psi": psi.kind, "t": t, "n_outer": _OUTER_NODES},
     )
 
 
-def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=64):
+def energy_flow_values(model, kernel, velocities, t=0.0, level=None):
     """Per-sample kinetic-energy exchange rate with the background.
 
     For each tagged velocity the closed rate of change of ``|Z|^2`` is
@@ -442,9 +426,7 @@ def energy_flow_values(model, kernel, velocities, t=0.0, level=None, n_nodes=64)
     velocities = np.atleast_2d(np.asarray(velocities, dtype=np.float64))
     if velocities.shape[0] == 0:
         raise ValueError("empty ensemble")
-    return collision_action(
-        model, kernel, Energy(), t, velocities, level=level, n_nodes=n_nodes
-    )
+    return collision_action(model, kernel, Energy(), t, velocities, level=level)
 
 
 def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
@@ -473,7 +455,6 @@ def weak_residual(
     horizon=None,
     collisions=True,
     tolerance=1e-9,
-    n_nodes=64,
 ):
     """Pathwise weak-form residual of an ensemble against ``psi``.
 
@@ -540,8 +521,7 @@ def weak_residual(
         lengths = np.minimum(ends, horizon) - times
         seg = times < horizon
         action = collision_action(
-            model, kernel, psi, 0.0, velocities[seg], level=levels[seg],
-            n_nodes=n_nodes,
+            model, kernel, psi, 0.0, velocities[seg], level=levels[seg]
         )
         collision = np.bincount(
             path_of[seg], weights=lengths[seg] * action, minlength=n
@@ -589,7 +569,12 @@ def collision_symmetry_gap(
     The squared post-collision speeds, which the bumps take, are closed
     forms in the azimuth read off one frame of the relative velocity.
     """
+    # negated comparisons, so that NaN fails them too
+    if not 0.0 < theta <= math.pi:
+        raise ValueError(f"theta must lie in (0, pi], got {theta}")
     r1, r2, r3, r4 = (float(r) for r in radii)
+    if not all(0.0 < r < math.inf for r in (r1, r2, r3, r4)):
+        raise ValueError(f"radii must be positive and finite, got {radii}")
     # The incoming-pair domain must cover the supports of both argument
     # orderings; the bump factors vanish smoothly beyond their own radii.
     ra, wa = gauss_legendre(n_radial, 0.0, max(r1, r3))
@@ -807,6 +792,8 @@ def exit_statistics(sup_speeds, thresholds):
     sup_speeds = np.asarray(sup_speeds, dtype=np.float64).ravel()
     if len(sup_speeds) == 0:
         raise ValueError("empty ensemble")
+    if not np.all(np.isfinite(sup_speeds)):
+        raise ValueError("speed suprema must be finite")
     thresholds = np.sort(np.asarray(thresholds, dtype=np.float64).ravel())
     if not np.all(thresholds > 0.0):
         raise ValueError("thresholds must be positive")

@@ -71,7 +71,6 @@ import numpy as np
 from .densities import (
     MollifiedEmpiricalModel,
     maxwell_abs_moment,
-    pair_blocks,
     pair_kernel,
     pair_sq_distances,
     wrap_position,
@@ -85,6 +84,7 @@ from .kernels import (
     sigma,
     sigma_weight,
 )
+from .quadrature import pair_blocks
 
 __all__ = [
     "ONE_SIDED",

@@ -25,7 +25,9 @@ Primitive provided here:
                                   [e^{-a} m_p(a)] dr.
 
 Everything downstream (jump rates, energy exchange, weak-form
-generators) is assembled from ``T_{p,q}``.
+generators) is assembled from ``T_{p,q}``.  Its radial resolution is
+fixed here, and ``pair_blocks`` bounds the memory of this and every
+other row-by-column computation of the package.
 """
 
 from __future__ import annotations
@@ -39,7 +41,29 @@ __all__ = [
     "gauss_hermite_3d",
     "sphere_exp_moments_scaled",
     "radial_gaussian_moment",
+    "pair_blocks",
 ]
+
+# Pairs held in memory at once by every row-by-column computation: one
+# (3, rows, centres) float64 block of displacement planes is under 50 MB.
+_PAIR_BUDGET = 2_000_000
+
+# Gauss-Legendre nodes of each speed's radial tail window and of the head
+# window all speeds share: exact to rounding at any speed, as both follow
+# the Gaussian bump.
+_TAIL_NODES = 64
+_HEAD_NODES = 32
+
+
+def pair_blocks(n_rows, n_cols):
+    """Row slices of an ``n_rows`` by ``n_cols`` pair computation.
+
+    Each slice covers as many rows as fit in a fixed budget of pairs (at
+    least one), so peak memory does not grow with the query size.
+    """
+    step = max(1, _PAIR_BUDGET // max(n_cols, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
 
 
 @lru_cache(maxsize=64)
@@ -138,7 +162,7 @@ def sphere_exp_moments_scaled(a, pmax):
     return out
 
 
-def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
+def radial_gaussian_moment(z_norm, s, p, q, radial_factor=None):
     """Primitive ``T_{p,q}`` by fixed-order radial Gauss-Legendre.
 
     Computes ``int |w|^q ((z/|z|) . (w/|w|))^p M(z + w; s) dw`` for a
@@ -146,10 +170,12 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
     centered at ``r = |z|`` of width ``sqrt(s)``.  Every speed has its
     own node window: a head ``[0, sqrt(s)]`` shared by all speeds and a
     tail ``[max(sqrt(s), |z| - 14 sqrt(s)), |z| + 14 sqrt(s)]``, at most
-    ``29 sqrt(s)`` wide whatever ``|z|`` is.  A speed's value therefore
-    depends on its own speed only, never on the other speeds of the
-    call.  Several orders share the nodes, the Gaussian factor and one
-    sphere-moment table up to the largest ``p``.
+    ``29 sqrt(s)`` wide whatever ``|z|`` is, so one fixed node count
+    serves every speed.  A speed's value therefore depends on its own
+    speed only, never on the other speeds of the call, and the speeds
+    are taken in row blocks under the pair budget of
+    :func:`pair_blocks`.  Several orders share the nodes, the Gaussian
+    factor and one sphere-moment table up to the largest ``p``.
 
     Parameters
     ----------
@@ -161,16 +187,13 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
         Sphere-moment order (0..6), or one order per result row.
     q : float or sequence of float
         Radial power ``> -3``, or one power per entry of ``p``.
-    n_nodes : int
-        Gauss-Legendre order ``>= 2`` of each speed's window: its tail
-        takes ``n_nodes`` nodes and the shared head ``n_nodes // 2``.
     radial_factor : callable, optional
         Extra isotropic weight ``F(|w|)`` multiplied into the integrand,
-        evaluated on the ``(speeds, nodes)`` array of every speed's radial
-        nodes.  Position-overlap factors of product densities enter
-        through this hook.  The windows follow the Gaussian bump, so with
-        ``|F| <= 1`` what lies outside them is under ``e^-98`` of the
-        unweighted integral.
+        evaluated on the ``(speeds, nodes)`` array of a block of speeds'
+        radial nodes.  Position-overlap factors of product densities
+        enter through this hook.  The windows follow the Gaussian bump,
+        so with ``|F| <= 1`` what lies outside them is under ``e^-98`` of
+        the unweighted integral.
 
     Returns
     -------
@@ -185,8 +208,6 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
         raise ValueError("speeds must be nonnegative and finite")
     if not 0.0 < s < np.inf:
         raise ValueError(f"variance must be positive and finite, got {s}")
-    if not n_nodes >= 2:
-        raise ValueError(f"need at least 2 radial nodes, got {n_nodes}")
     orders = np.ndim(p) > 0
     ps, qs = (list(p), list(q)) if orders else ([p], [q])
     if len(ps) != len(qs):
@@ -198,31 +219,33 @@ def radial_gaussian_moment(z_norm, s, p, q, n_nodes=64, radial_factor=None):
     # Fractional q makes r**(2+q) non-analytic at r = 0, which stalls
     # Gauss-Legendre there; the chart r = u^2 doubles the exponent and
     # restores spectral accuracy on the head of the integral.
-    u, u_wts = gauss_legendre(n_nodes // 2, 0.0, np.sqrt(root))
-    # Outside a speed's window the bump is under e^-98 of its peak.
-    zc = zn[:, np.newaxis]
-    r_tail, w_tail = gauss_legendre(
-        n_nodes, np.maximum(root, zc - 14.0 * root), zc + 14.0 * root
-    )
-    shape = (len(zn), len(u))
-    r = np.concatenate([np.broadcast_to(u * u, shape), r_tail], axis=1)
-    wts = np.concatenate([np.broadcast_to(2.0 * u * u_wts, shape), w_tail], axis=1)
-    mom = sphere_exp_moments_scaled(r * (zc / s), max(ps))
-    # the weights carry every factor that no order changes
-    gauss = r - zc
-    gauss *= gauss
-    gauss *= -0.5 / s
-    wts *= np.exp(gauss, out=gauss)
-    if radial_factor is not None:
-        wts *= radial_factor(r)
+    u, u_wts = gauss_legendre(_HEAD_NODES, 0.0, np.sqrt(root))
+    head_r, head_w = u * u, 2.0 * u * u_wts
     out = np.empty((len(ps), len(zn)))
-    # one power per distinct q, held one at a time
-    for qi in dict.fromkeys(qs):
-        power = r ** (2.0 + qi)
-        for row in (k for k, q in enumerate(qs) if q == qi):
-            # vecdot rounds each speed's sum alike however many speeds
-            # there are; a BLAS matrix-vector product does not
-            out[row] = np.vecdot(power * mom[ps[row]], wts)
+    for rows in pair_blocks(len(zn), _HEAD_NODES + _TAIL_NODES):
+        # Outside a speed's window the bump is under e^-98 of its peak.
+        zc = zn[rows, np.newaxis]
+        r_tail, w_tail = gauss_legendre(
+            _TAIL_NODES, np.maximum(root, zc - 14.0 * root), zc + 14.0 * root
+        )
+        shape = (len(zc), _HEAD_NODES)
+        r = np.concatenate([np.broadcast_to(head_r, shape), r_tail], axis=1)
+        wts = np.concatenate([np.broadcast_to(head_w, shape), w_tail], axis=1)
+        mom = sphere_exp_moments_scaled(r * (zc / s), max(ps))
+        # the weights carry every factor that no order changes
+        gauss = r - zc
+        gauss *= gauss
+        gauss *= -0.5 / s
+        wts *= np.exp(gauss, out=gauss)
+        if radial_factor is not None:
+            wts *= radial_factor(r)
+        # one power per distinct q, held one at a time
+        for qi in dict.fromkeys(qs):
+            power = r ** (2.0 + qi)
+            for row in (k for k, q in enumerate(qs) if q == qi):
+                # vecdot rounds each speed's sum alike however many
+                # speeds there are; a BLAS matrix-vector product does not
+                out[row, rows] = np.vecdot(power * mom[ps[row]], wts)
     out *= 2.0 * np.pi * (2.0 * np.pi * s) ** (-1.5)
     if np.ndim(z_norm) == 0:
         out = out[:, 0]

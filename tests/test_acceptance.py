@@ -346,9 +346,7 @@ def test_criterion_08_weak_form_residuals():
     worst_z = 0.0
     for h in (0.125, 0.25, 0.375, 0.5):
         for psi in psis:
-            rep = weak_residual(
-                trajs, UNIT_BOX, HARD, psi, horizon=h, n_nodes=200
-            )
+            rep = weak_residual(trajs, UNIT_BOX, HARD, psi, horizon=h)
             results.append(bool(rep.verdict))
             if rep.stderr > 0.0:
                 worst_z = max(worst_z, abs(rep.difference) / rep.stderr)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 
-from boltzgas import densities
+from boltzgas import densities, quadrature
 from boltzgas.densities import (
     BKWModel,
     BoxMaxwellianModel,
@@ -21,7 +21,6 @@ from boltzgas.densities import (
     bkw_relaxation_rate,
     certify_hypotheses,
     maxwell_abs_moment,
-    pair_blocks,
     pair_kernel,
     pair_sq_distances,
 )
@@ -32,7 +31,7 @@ from boltzgas.kernels import (
     KernelSpec,
     angular_weighted_mass,
 )
-from boltzgas.quadrature import gauss_hermite_3d, radial_gaussian_moment
+from boltzgas.quadrature import gauss_hermite_3d, pair_blocks, radial_gaussian_moment
 from boltzgas.rng import stream
 from boltzgas.truncation import project_j
 
@@ -817,7 +816,7 @@ class TestMollifiedEmpiricalModel:
         x = 2.0 * rng.random((7, 3))
         v = model.sample_velocity(0.0, rng, 7)
         # two rows of 300 centres per block: the query spans four blocks
-        monkeypatch.setattr(densities, "_PAIR_BUDGET", 600)
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", 600)
         assert len(list(pair_blocks(7, 300))) == 4
         for method in ("evaluate", "conditional", "grad_x"):
             query = getattr(model, method)
@@ -936,9 +935,7 @@ class TestCertification:
         xs, vs = box.sample_state(0.0, rng, 60)
         model = MollifiedEmpiricalModel(xs, vs, h_x=0.25, h_v=0.8, side=2.0)
         kern = maxwell_kernel()
-        report = certify_hypotheses(
-            model, kern, horizon=0.2, n_time=2, n_side=3, n_nodes=16
-        )
+        report = certify_hypotheses(model, kern, horizon=0.2, n_time=2, n_side=3)
         failed = [c.name for c in report.checks if not c.passed]
         assert report.passed, f"failed {failed}"
 
@@ -952,3 +949,9 @@ class TestCertification:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             certify_hypotheses(BoxMaxwellianModel(), maxwell_kernel(), horizon=0.0)
+
+    @NON_FINITE
+    def test_horizon_must_be_finite(self, value):
+        # neither horizon gives a grid of times to certify the bounds on
+        with pytest.raises(ValueError, match="positive and finite"):
+            certify_hypotheses(BoxMaxwellianModel(), maxwell_kernel(), horizon=value)

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
-from boltzgas import densities, diagnostics, engine, kernels, particles
+from boltzgas import densities, diagnostics, engine, kernels, particles, quadrature
 from boltzgas.diagnostics import (
     CompactBump,
     Constant,
@@ -288,6 +288,12 @@ class TestCollisionInvariants:
         with pytest.raises(ValueError, match="velocity observable"):
             collision_invariant_residual(BOX, HS_KERNEL, bump)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -0.1])
+    def test_time_must_be_nonnegative_and_finite(self, t):
+        # the box mixture does not depend on t, so a NaN time would pass
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            collision_invariant_residual(BOX, HS_KERNEL, Energy(), t=t)
+
 
 class TestEnergyFlow:
     def test_cold_particle_heats_hot_particle_cools(self):
@@ -357,14 +363,12 @@ class TestWeakResidual:
         ids=["energy", "momentum", "quadratic"],
     )
     def test_martingale_identity_on_box_ensemble(self, box_ensemble, psi):
-        rep = weak_residual(box_ensemble, BOX, HS_KERNEL, psi, n_nodes=200)
+        rep = weak_residual(box_ensemble, BOX, HS_KERNEL, psi)
         assert rep.n_samples == 600
         assert rep.verdict, rep.as_dict()
 
     def test_sub_horizon_window(self, box_ensemble):
-        rep = weak_residual(
-            box_ensemble, BOX, HS_KERNEL, Energy(), horizon=0.2, n_nodes=200
-        )
+        rep = weak_residual(box_ensemble, BOX, HS_KERNEL, Energy(), horizon=0.2)
         assert rep.details["horizon"] == 0.2
         assert rep.verdict, rep.as_dict()
 
@@ -470,6 +474,19 @@ class TestCollisionSymmetry:
         assert abs(rep.difference) <= 1e-7
         assert rep.verdict
 
+    @pytest.mark.parametrize("theta", [np.nan, 0.0, -0.7, math.pi + 1e-9])
+    def test_theta_must_lie_in_zero_to_pi(self, theta):
+        # at a NaN angle both sides read 0 and would pass
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, pi\]"):
+            collision_symmetry_gap(theta, n_radial=4, n_angle=4, n_phi=4)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.1])
+    def test_radii_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radii must be positive and finite"):
+            collision_symmetry_gap(
+                0.7, (0.9, 1.6, radius, 1.9), n_radial=4, n_angle=4, n_phi=4
+            )
+
     def test_gap_is_relative_to_a_nontrivial_scale(self):
         # the two sides integrate pointwise different products, so the
         # match is meaningful only because both are order-one numbers
@@ -525,7 +542,7 @@ class TestEntropy:
         rng = np.random.default_rng(12)
         v = rng.normal(0.0, 1.2, size=(50, 3))
         # twelve rows of 50 per block: the estimate spans five blocks
-        monkeypatch.setattr(densities, "_PAIR_BUDGET", 600)
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", 600)
         rep = relative_entropy_kde(v, reference_variance=1.0)
         h = rep.bandwidth
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=2)
@@ -629,6 +646,12 @@ class TestExitStatistics:
         with pytest.raises(ValueError, match="positive"):
             exit_statistics([1.0], [np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_suprema_must_be_finite(self, bad):
+        # one NaN supremum would make every Markov bound NaN
+        with pytest.raises(ValueError, match="suprema must be finite"):
+            exit_statistics([1.0, bad, 2.0], [1.5])
+
 
 class TestMomentReport:
     def test_stationary_ensemble_conserves_moments(self, box_ensemble):
@@ -656,37 +679,27 @@ class TestMomentReport:
             moment_report([], [0.0])
 
 
-def _tilted_moment(speeds, component, p, q, radial_factor=None, n_nodes=400):
+# radial nodes of one speed in a primitive call
+RADIAL_NODES = quadrature._HEAD_NODES + quadrature._TAIL_NODES
+
+
+def _tilted_moment(r, component, p, q):
     """One order of one (possibly tilted) component, one call per order.
 
-    The per-order route of the collision action: the block loop, the
-    primitive calls and the tilt recombination that ``_reduced_action``
-    now makes once per component and block for all orders.
+    The per-order route of the collision action: the primitive calls and
+    the tilt recombination that ``_reduced_action`` makes once per
+    component for all orders.
     """
     s = component.variance
-    out = np.empty_like(speeds)
-    for rows in densities.pair_blocks(len(speeds), n_nodes // 2 + n_nodes):
-        r = speeds[rows]
-        if component.power2m == 0:
-            val = radial_gaussian_moment(
-                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-        else:
-            t0 = radial_gaussian_moment(
-                r, s, p, q, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            t1 = radial_gaussian_moment(
-                r, s, p + 1, q + 1.0, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            t2 = radial_gaussian_moment(
-                r, s, p, q + 2.0, n_nodes=n_nodes, radial_factor=radial_factor
-            )
-            val = (r * r * t0 + 2.0 * r * t1 + t2) / (3.0 * s)
-        out[rows] = val
-    return out
+    if component.power2m == 0:
+        return radial_gaussian_moment(r, s, p, q)
+    t0 = radial_gaussian_moment(r, s, p, q)
+    t1 = radial_gaussian_moment(r, s, p + 1, q + 1.0)
+    t2 = radial_gaussian_moment(r, s, p, q + 2.0)
+    return (r * r * t0 + 2.0 * r * t1 + t2) / (3.0 * s)
 
 
-def reference_collision_action(model, kernel, psi, t, z, level, n_nodes):
+def reference_collision_action(model, kernel, psi, t, z, level):
     """``collision_action`` assembled from :func:`_tilted_moment`."""
     A, b = psi.quad_matrix, psi.lin_vector
     z_norm = np.linalg.norm(z, axis=1)
@@ -703,12 +716,12 @@ def reference_collision_action(model, kernel, psi, t, z, level, n_nodes):
     bz = np.vecdot(zhat, b)
     total = np.zeros(len(z))
     for comp in model.radial_components(t):
-        t1 = _tilted_moment(y_norm, comp, 1, gamma + 1.0, None, n_nodes)
+        t1 = _tilted_moment(y_norm, comp, 1, gamma + 1.0)
         linear = beta1 * (2.0 * z_norm * zaz + bz) * t1
         quad = np.zeros_like(linear)
         if np.any(A != 0.0):
-            t0 = _tilted_moment(y_norm, comp, 0, gamma + 2.0, None, n_nodes)
-            t2 = _tilted_moment(y_norm, comp, 2, gamma + 2.0, None, n_nodes)
+            t0 = _tilted_moment(y_norm, comp, 0, gamma + 2.0)
+            t2 = _tilted_moment(y_norm, comp, 2, gamma + 2.0)
             w_aw = zaz * t2 + (tr_a - zaz) * 0.5 * (t0 - t2)
             quad = (beta2 - 0.5 * (beta1 - beta2)) * w_aw + 0.5 * (
                 beta1 - beta2
@@ -727,19 +740,16 @@ class TestBatchedOrders:
         ],
         ids=["energy", "momentum-level", "quadratic-level"],
     )
-    def test_bkw_action_matches_per_order_route(self, psi, level):
+    def test_bkw_action_matches_per_order_route(self, monkeypatch, psi, level):
         bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
         assert {c.power2m for c in bkw.radial_components(0.3)} == {0, 1}
         z = 1.2 * np.random.default_rng(31).standard_normal((3500, 3))
-        # 600 radial nodes per speed: two pair blocks of 3333 and 167 rows
-        blocks = list(densities.pair_blocks(len(z), 600))
-        assert len(blocks) == 2
-        got = collision_action(
-            bkw, GRAZING_KERNEL, psi, 0.3, z, level=level, n_nodes=400
-        )
-        want = reference_collision_action(
-            bkw, GRAZING_KERNEL, psi, 0.3, z, level, 400
-        )
+        # a budget of 3333 speeds' radial nodes: two row blocks of 3333
+        # and 167 speeds in every primitive call
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", 3333 * RADIAL_NODES)
+        assert len(list(quadrature.pair_blocks(len(z), RADIAL_NODES))) == 2
+        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=level)
+        want = reference_collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level)
         assert got.tobytes() == want.tobytes()
 
     def test_each_primitive_is_computed_once(self, monkeypatch):
@@ -755,41 +765,39 @@ class TestBatchedOrders:
         bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
         z = 1.2 * np.random.default_rng(32).standard_normal((3500, 3))
         psi = Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])
-        got = collision_action(
-            bkw, GRAZING_KERNEL, psi, 0.3, z, level=1.5, n_nodes=400
-        )
-        # two components, two pair blocks each
+        got = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=1.5)
+        # one call per component for all of its rows
         assert [(rows, len(orders)) for rows, orders in calls] == [
-            (3333, 3), (167, 3), (3333, 7), (167, 7)
+            (3500, 3), (3500, 7)
         ]
         for _, orders in calls:
             assert len(set(orders)) == len(orders)
-        want = reference_collision_action(
-            bkw, GRAZING_KERNEL, psi, 0.3, z, 1.5, 400
-        )
+        want = reference_collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, 1.5)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "psi", [Energy(), Quadratic(MIXED_A, vector=[0.0, 0.2, -0.1])],
         ids=["energy", "quadratic"],
     )
-    @pytest.mark.parametrize("nodes", [{}, {"n_nodes": 400}],
+    @pytest.mark.parametrize("speeds_per_block", [None, 2000],
                              ids=["default", "two-blocks"])
-    def test_rows_do_not_depend_on_the_call(self, psi, nodes):
+    def test_rows_do_not_depend_on_the_call(self, monkeypatch, psi, speeds_per_block):
         # every speed has its own radial window, so neither the other
-        # rows nor the pair blocks they fall into move a row's value
+        # rows nor the row blocks they fall into move a row's value
+        if speeds_per_block:
+            monkeypatch.setattr(
+                quadrature, "_PAIR_BUDGET", speeds_per_block * RADIAL_NODES
+            )
         bkw = densities.BKWModel(side=2.0, vel_var=0.8, c0=0.4, rate=1.0)
         rng = np.random.default_rng(33)
         z = 1.2 * rng.standard_normal((3500, 3))
         z[::7] *= 6.0
         levels = rng.integers(1, 9, size=len(z)).astype(np.float64)
-        whole = collision_action(
-            bkw, GRAZING_KERNEL, psi, 0.3, z, level=levels, **nodes
-        )
+        whole = collision_action(bkw, GRAZING_KERNEL, psi, 0.3, z, level=levels)
         parts = np.concatenate([
             collision_action(
                 bkw, GRAZING_KERNEL, psi, 0.3, z[lo:lo + 100],
-                level=levels[lo:lo + 100], **nodes,
+                level=levels[lo:lo + 100],
             )
             for lo in range(0, len(z), 100)
         ])
@@ -811,8 +819,8 @@ class TestPerRowLevels:
     )
     @pytest.mark.parametrize("psi", ROW_PSIS, ids=lambda psi: psi.kind)
     def test_matches_per_level_calls(self, model, kernel, psi):
-        # one call sets one radial node window for all rows, so the two
-        # routes agree to quadrature error, not bit for bit
+        # every speed has its own radial window, so a row's value is the
+        # same whatever level the other rows of its call have
         rng = np.random.default_rng(34)
         z = 1.6 * rng.standard_normal((600, 3))
         levels = rng.integers(1, 9, size=len(z)).astype(np.float64)
@@ -821,7 +829,7 @@ class TestPerRowLevels:
         for lvl in np.unique(levels):
             sel = levels == lvl
             want[sel] = collision_action(model, kernel, psi, 0.3, z[sel], level=lvl)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert got.tobytes() == want.tobytes()
 
     def test_constant_rows_are_the_scalar_level(self):
         z = np.random.default_rng(35).standard_normal((300, 3))
@@ -851,7 +859,7 @@ class TestPerRowLevels:
 
 
 def reference_weak_residual(
-    trajectories, model, kernel, psi, horizon=None, collisions=True, n_nodes=400
+    trajectories, model, kernel, psi, horizon=None, collisions=True
 ):
     """``weak_residual`` path by path: clip each path's segments, then pool.
 
@@ -886,7 +894,7 @@ def reference_weak_residual(
     if needs_action:
         action = collision_action(
             model, kernel, psi, 0.0, np.concatenate(seg_z),
-            level=np.concatenate(seg_lvl), n_nodes=n_nodes,
+            level=np.concatenate(seg_lvl),
         )
         collision = np.bincount(
             np.concatenate(seg_path),
@@ -933,11 +941,11 @@ class TestSegmentTable:
             for psi in self.PSIS:
                 rep = weak_residual(
                     mixed_ensemble, BOX, GRAZING_KERNEL, psi, horizon=horizon,
-                    collisions=collisions, n_nodes=200,
+                    collisions=collisions,
                 )
                 want = reference_weak_residual(
                     mixed_ensemble, BOX, GRAZING_KERNEL, psi, horizon=horizon,
-                    collisions=collisions, n_nodes=200,
+                    collisions=collisions,
                 )
                 assert (rep.lhs, rep.rhs, rep.stderr) == want, (horizon, psi.kind)
 

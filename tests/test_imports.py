@@ -1,11 +1,13 @@
 """Module boundaries: no module imports another module's private names.
 
 The demos and the benchmark harness run outside the test suite, so the
-names they read from ``boltzgas`` are checked here to exist and be public.
+names they read from ``boltzgas`` are checked here to exist and be public,
+and the keywords they pass to its callables to be parameters of them.
 """
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +78,26 @@ def test_every_exported_name_resolves():
     assert stale == {}
 
 
+def package_imports(tree):
+    """Names a script binds by importing from ``boltzgas``.
+
+    Returns ``{bound: (module, name)}`` for ``from boltzgas[.module]
+    import name`` and ``{bound: module}`` for ``import boltzgas[.module]``.
+    """
+    imported, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "boltzgas":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "boltzgas":
+                    bound = alias.asname or alias.name.split(".")[0]
+                    aliases[bound] = alias.name if alias.asname else "boltzgas"
+    return imported, aliases
+
+
 def package_names(source):
     """``(module, name)`` pairs that a script reads from ``boltzgas``.
 
@@ -83,16 +105,8 @@ def package_names(source):
     ``alias.name`` where ``alias`` is bound by ``import boltzgas[.module]``.
     """
     tree = ast.parse(source)
-    found, aliases = [], {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0:
-            if (node.module or "").split(".")[0] == "boltzgas":
-                found += [(node.module, alias.name) for alias in node.names]
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "boltzgas":
-                    bound = alias.asname or alias.name.split(".")[0]
-                    aliases[bound] = alias.name if alias.asname else "boltzgas"
+    imported, aliases = package_imports(tree)
+    found = list(imported.values())
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -148,6 +162,84 @@ def test_demos_and_benchmark_read_existing_public_names():
                 if (why := unresolved(module, name))
             ]
         )
+    }
+    assert offenders == {}
+
+
+def package_keywords(source):
+    """``(callee, keyword)`` of every keyword a script passes to ``boltzgas``.
+
+    The callee is the dotted path of a name bound by an import from
+    ``boltzgas``, or of an attribute chain on one such as
+    ``bg.diagnostics.weak_residual``; ``**mapping`` arguments are skipped.
+    """
+    tree = ast.parse(source)
+    imported, bound = package_imports(tree)
+    bound |= {name: ".".join(path) for name, path in imported.items()}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        attrs, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            attrs.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in bound:
+            callee = ".".join([bound[func.id], *reversed(attrs)])
+            found += [(callee, kw.arg) for kw in node.keywords if kw.arg]
+    return found
+
+
+def takes_keyword(callee, keyword):
+    """Whether the ``boltzgas`` callable at dotted path ``callee`` takes ``keyword``."""
+    parts = callee.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        else:
+            obj = importlib.import_module(".".join(parts[:k]))
+    params = inspect.signature(obj).parameters.values()
+    return any(
+        p.kind is p.VAR_KEYWORD
+        or (p.name == keyword and p.kind is not p.POSITIONAL_ONLY)
+        for p in params
+    )
+
+
+def test_keyword_reader_resolves_callees():
+    source = (
+        "import boltzgas as bg\n"
+        "from boltzgas.diagnostics import weak_residual as wr\n"
+        "wr(paths, model, kernel, psi, n_nodes=200)\n"
+        "bg.diagnostics.collision_action(model, kernel, psi, 0.0, z, level=2.0)\n"
+        "bg.SimConfig(**options)\n"
+        "len(paths, key=1)\n"
+    )
+    assert package_keywords(source) == [
+        ("boltzgas.diagnostics.weak_residual", "n_nodes"),
+        ("boltzgas.diagnostics.collision_action", "level"),
+    ]
+    assert not takes_keyword("boltzgas.diagnostics.weak_residual", "n_nodes")
+    assert takes_keyword("boltzgas.diagnostics.collision_action", "level")
+    assert takes_keyword("boltzgas.SimConfig", "horizon")
+
+
+def test_demos_and_benchmark_pass_existing_keywords():
+    # tier-1 never runs these scripts, so a deleted parameter would
+    # break them silently
+    scripts = sorted(REPO_DIR.glob("demos/*.py")) + sorted(
+        REPO_DIR.glob("perfbench/*.py")
+    )
+    calls = {
+        f"{path.parent.name}/{path.name}": package_keywords(path.read_text())
+        for path in scripts
+    }
+    assert sum(map(len, calls.values())) > 20
+    offenders = {
+        script: bad
+        for script, found in calls.items()
+        if (bad := [pair for pair in found if not takes_keyword(*pair)])
     }
     assert offenders == {}
 

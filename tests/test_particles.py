@@ -7,15 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import kernels, particles
-from boltzgas.densities import (
-    MollifiedEmpiricalModel,
-    maxwell_abs_moment,
-    pair_blocks,
-    wrap_position,
-)
+from boltzgas.densities import MollifiedEmpiricalModel, maxwell_abs_moment, wrap_position
 from boltzgas.engine import EnvelopeError, check_envelope
 from boltzgas.geometry import deflection_alpha
 from boltzgas.kernels import angular_mass, sample_theta, sigma_weight
+from boltzgas.quadrature import pair_blocks
 from boltzgas.rng import stream
 
 

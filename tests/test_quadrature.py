@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from boltzgas import quadrature
 from boltzgas.quadrature import (
     gauss_hermite_3d,
     gauss_legendre,
@@ -167,28 +168,27 @@ class TestOrderSequences:
                              ids=["plain", "radial_factor"])
     def test_each_row_is_the_single_order_call(self, factor):
         zn = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 7.0, 61)])
-        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS, n_nodes=120,
+        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS,
                                       radial_factor=factor)
         assert rows.shape == (9, len(zn))
         for row, p, q in zip(rows, self.PS, self.QS):
-            one = radial_gaussian_moment(zn, 0.45, p, q, n_nodes=120,
-                                         radial_factor=factor)
+            one = radial_gaussian_moment(zn, 0.45, p, q, radial_factor=factor)
             assert row.tobytes() == one.tobytes(), (p, q)
 
     @pytest.mark.parametrize("factor", [None, lambda r: np.exp(-0.3 * r * r)],
                              ids=["plain", "radial_factor"])
     def test_each_speed_is_its_call_beside_the_fastest(self, factor):
-        # a speed's value depends on the other speeds only through the
-        # node window, which the fastest speed sets
+        # every speed has its own node window, so neither the fastest
+        # speed nor any other of the call moves a speed's value
         zn = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 7.0, 61)])
-        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS, n_nodes=120,
+        rows = radial_gaussian_moment(zn, 0.45, self.PS, self.QS,
                                       radial_factor=factor)
         for k in range(len(zn)):
             pair = radial_gaussian_moment(zn[[k, -1]], 0.45, self.PS, self.QS,
-                                          n_nodes=120, radial_factor=factor)
+                                          radial_factor=factor)
             assert pair[:, 0].tobytes() == rows[:, k].tobytes(), k
         fastest = radial_gaussian_moment(zn[-1], 0.45, self.PS, self.QS,
-                                         n_nodes=120, radial_factor=factor)
+                                         radial_factor=factor)
         assert fastest.tobytes() == rows[:, -1].tobytes()
 
     def test_one_speed_call_matches_the_batch(self):
@@ -242,6 +242,28 @@ class TestPerSpeedWindows:
                                                 radial_factor=factor)
                 assert single == row[k], (self.RATIOS[k], p, q)
 
+    def test_row_blocks_bound_memory_and_move_no_float(self, monkeypatch):
+        zn = np.linspace(0.0, 40.0, 63)
+
+        def factor(r):
+            return np.exp(-0.3 * r * r)
+
+        whole = radial_gaussian_moment(zn, 0.45, self.PS, self.QS,
+                                       radial_factor=factor)
+        shapes = []
+
+        def recording(r):
+            shapes.append(r.shape)
+            return factor(r)
+
+        # five speeds' nodes per block: the call spans thirteen blocks
+        nodes = quadrature._HEAD_NODES + quadrature._TAIL_NODES
+        monkeypatch.setattr(quadrature, "_PAIR_BUDGET", 5 * nodes)
+        blocked = radial_gaussian_moment(zn, 0.45, self.PS, self.QS,
+                                         radial_factor=recording)
+        assert shapes == [(5, nodes)] * 12 + [(3, nodes)]
+        assert blocked.tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("s", [0.05, 2.0])
     def test_far_apart_speeds_both_match_the_oracle(self, s):
         # a speed at 300 sqrt(s) no longer spreads the nodes of a slow one
@@ -264,11 +286,6 @@ class TestInputChecks:
     def test_variance_must_be_positive_and_finite(self, s):
         with pytest.raises(ValueError, match="variance must be positive and finite"):
             radial_gaussian_moment(np.array([1.0]), s, 0, 1.0)
-
-    @pytest.mark.parametrize("n_nodes", [1, 0, -4])
-    def test_at_least_two_nodes(self, n_nodes):
-        with pytest.raises(ValueError, match="at least 2 radial nodes"):
-            radial_gaussian_moment(np.array([1.0]), 1.0, 0, 1.0, n_nodes=n_nodes)
 
     def test_nan_power_rejected(self):
         with pytest.raises(ValueError, match="exceed -3"):
