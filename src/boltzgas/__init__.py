@@ -12,7 +12,7 @@ dynamics against a prescribed background density:
 * :mod:`boltzgas.engine` -- the exact-thinning jump-process simulator,
 * :mod:`boltzgas.picard` -- iteration of trajectories on frozen noise,
 * :mod:`boltzgas.particles` -- interacting ensembles with mollified rates,
-* :mod:`boltzgas.diagnostics` -- weak-form residuals, moments and entropy,
+* :mod:`boltzgas.diagnostics` -- weak-form residuals and entropy,
 * :mod:`boltzgas.config` -- validated run configurations,
 * :mod:`boltzgas.runio` -- deterministic file formats for run outputs,
 * :mod:`boltzgas.cli` -- the ``boltzgas`` command-line runner.
@@ -36,7 +36,6 @@ from .kernels import (
     angular_weighted_mass,
     sample_theta,
     sigma,
-    theta_first_moment,
 )
 from .truncation import alpha_j, energy_defect, project_j
 from .densities import (
@@ -88,19 +87,16 @@ from .diagnostics import (
     EntropyReport,
     ExitReport,
     LinearMomentum,
-    MomentTable,
     Quadratic,
     ResidualReport,
     TestFunction,
     collision_action,
     collision_invariant_residual,
     collision_symmetry_gap,
-    energy_flow_values,
     energy_rhs_report,
     entropy_bias_budget,
     exit_statistics,
     gaussian_kl,
-    moment_report,
     relative_entropy_kde,
     weak_residual,
 )

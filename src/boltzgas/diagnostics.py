@@ -41,7 +41,6 @@ __all__ = [
     "smooth_bump",
     "collision_action",
     "collision_invariant_residual",
-    "energy_flow_values",
     "energy_rhs_report",
     "weak_residual",
     "collision_symmetry_gap",
@@ -51,8 +50,6 @@ __all__ = [
     "relative_entropy_kde",
     "ExitReport",
     "exit_statistics",
-    "MomentTable",
-    "moment_report",
 ]
 
 def smooth_bump(u):
@@ -168,6 +165,8 @@ class CompactBump(TestFunction):
 
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("bump center must be finite")
         if not 0.0 < radius < math.inf:
             raise ValueError("bump radius must be positive and finite")
         self.radius = float(radius)
@@ -407,8 +406,8 @@ def collision_invariant_residual(model, kernel, psi, t=0.0, tolerance=1e-6):
     )
 
 
-def energy_flow_values(model, kernel, velocities, t=0.0, level=None):
-    """Per-sample kinetic-energy exchange rate with the background.
+def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
+    """Mean and standard error of the kinetic-energy exchange rate.
 
     For each tagged velocity the closed rate of change of ``|Z|^2`` is
 
@@ -418,20 +417,15 @@ def energy_flow_values(model, kernel, velocities, t=0.0, level=None):
     (one radius for all rows or one per row); ``|z|`` stays because
     ``|z + a|^2 - |z|^2 = 2 z.a + |a|^2``.  It is positive for particles
     slower than the bath and negative for faster ones, so a cold
-    ensemble heats and a hot one cools.  Averaging the
-    returned values over an ensemble gives the quadrature side of the
-    energy-evolution check; the other side is a finite difference of
-    the simulated mean energy.
+    ensemble heats and a hot one cools.  The per-row values are
+    ``collision_action(model, kernel, Energy(), t, velocities, level)``;
+    their mean is the quadrature side of the energy-evolution check, and
+    the other side is a finite difference of the simulated mean energy.
     """
     velocities = np.atleast_2d(np.asarray(velocities, dtype=np.float64))
     if velocities.shape[0] == 0:
         raise ValueError("empty ensemble")
-    return collision_action(model, kernel, Energy(), t, velocities, level=level)
-
-
-def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
-    """Mean and standard error of the energy exchange rate."""
-    vals = energy_flow_values(model, kernel, velocities, t=t, level=level)
+    vals = collision_action(model, kernel, Energy(), t, velocities, level=level)
     n = len(vals)
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     # per-row levels go into the report as a list, which JSON can write
@@ -447,6 +441,10 @@ def energy_rhs_report(model, kernel, velocities, t=0.0, level=None):
     )
 
 
+# rounding allowance of weak_residual's exact segment quadrature
+_WEAK_TOLERANCE = 1e-9
+
+
 def weak_residual(
     trajectories,
     model,
@@ -454,7 +452,6 @@ def weak_residual(
     psi,
     horizon=None,
     collisions=True,
-    tolerance=1e-9,
 ):
     """Pathwise weak-form residual of an ensemble against ``psi``.
 
@@ -467,7 +464,8 @@ def weak_residual(
     term telescopes for position-only observables, and the collision
     term is constant on each inter-jump segment because the background
     mixture is read once per segment.  The per-path residuals have mean
-    zero, so their average is compared against ``3 stderr + tolerance``.
+    zero, so their average is compared against ``3 stderr + 1e-9``, the
+    tolerance covering the rounding of the exact segment quadrature.
 
     Backgrounds whose velocity mixture changes over the window are
     rejected, since then the segment quadrature would no longer be
@@ -534,7 +532,7 @@ def weak_residual(
         lhs=float(np.mean(delta)),
         rhs=float(np.mean(transport + collision)),
         stderr=stderr,
-        tolerance=tolerance,
+        tolerance=_WEAK_TOLERANCE,
         n_samples=n,
         details={"psi": psi.kind, "horizon": horizon, "collisions": collisions},
     )
@@ -806,87 +804,4 @@ def exit_statistics(sup_speeds, thresholds):
         markov_bounds=bounds,
         mean_sup=mean_sup,
         n_samples=len(sup_speeds),
-    )
-
-
-@dataclass
-class MomentTable:
-    """Ensemble mean velocity and energy on an output grid.
-
-    Drift scores are paired per path against time zero, so conserved
-    moments produce scores of order one regardless of the spread of the
-    initial law.
-    """
-
-    times: np.ndarray
-    mean_velocity: np.ndarray
-    se_velocity: np.ndarray
-    mean_energy: np.ndarray
-    se_energy: np.ndarray
-    velocity_drift: np.ndarray
-    energy_drift: np.ndarray
-    n_samples: int
-
-    def conserved(self, band=4.0):
-        """Whether no drift score exceeds the band."""
-        return bool(
-            np.all(np.abs(self.velocity_drift) <= band)
-            and np.all(np.abs(self.energy_drift) <= band)
-        )
-
-    def as_dict(self):
-        return {
-            "operation": "moment_report",
-            "times": self.times.tolist(),
-            "mean_velocity": self.mean_velocity.tolist(),
-            "se_velocity": self.se_velocity.tolist(),
-            "mean_energy": self.mean_energy.tolist(),
-            "se_energy": self.se_energy.tolist(),
-            "velocity_drift": self.velocity_drift.tolist(),
-            "energy_drift": self.energy_drift.tolist(),
-            "n_samples": self.n_samples,
-        }
-
-
-def moment_report(trajectories, times):
-    """First and second velocity moments of an ensemble over time.
-
-    Parameters
-    ----------
-    trajectories : sequence of Trajectory
-    times : array_like
-        Output grid inside the common horizon.
-    """
-    if not trajectories:
-        raise ValueError("empty ensemble")
-    n = len(trajectories)
-    if n < 2:
-        raise ValueError(f"need at least two paths, got {n}")
-    times = np.asarray(times, dtype=np.float64).ravel()
-    vel = np.empty((n, len(times), 3))
-    for i, path in enumerate(trajectories):
-        vel[i] = path.velocity(times)
-    energy = np.sum(vel * vel, axis=2)
-
-    mean_v = vel.mean(axis=0)
-    se_v = vel.std(axis=0, ddof=1) / math.sqrt(n)
-    mean_e = energy.mean(axis=0)
-    se_e = energy.std(axis=0, ddof=1) / math.sqrt(n)
-
-    dv = vel - vel[:, :1, :]
-    de = energy - energy[:, :1]
-    se_dv = dv.std(axis=0, ddof=1) / math.sqrt(n)
-    se_de = de.std(axis=0, ddof=1) / math.sqrt(n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v_drift = np.where(se_dv > 0.0, dv.mean(axis=0) / se_dv, 0.0)
-        e_drift = np.where(se_de > 0.0, de.mean(axis=0) / se_de, 0.0)
-    return MomentTable(
-        times=times,
-        mean_velocity=mean_v,
-        se_velocity=se_v,
-        mean_energy=mean_e,
-        se_energy=se_e,
-        velocity_drift=v_drift,
-        energy_drift=e_drift,
-        n_samples=n,
     )

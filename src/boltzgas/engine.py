@@ -204,10 +204,6 @@ class Trajectory:
         return self.velocities[self._segment(t)]
 
     @property
-    def jump_times(self):
-        return self.times[1:]
-
-    @property
     def n_jumps(self):
         return len(self.times) - 1
 
@@ -251,6 +247,8 @@ class Envelope:
             raise ValueError(
                 "no finite state-independent envelope exists for gamma < 0"
             )
+        if not 0.0 < horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         self.model = model
         self.kernel = kernel
         self.horizon = horizon

@@ -30,7 +30,6 @@ __all__ = [
     "sigma_weight",
     "angular_mass",
     "sample_theta",
-    "theta_first_moment",
     "angular_weighted_mass",
 ]
 
@@ -51,7 +50,7 @@ class KernelSpec:
         hard-sphere scaling, ``gamma = 0`` the Maxwell (speed
         independent) scaling.
     c : float
-        Cross-section prefactor, strictly positive.
+        Cross-section prefactor, positive and finite.
     angular : str
         ``"hard_sphere"`` or ``"power_law"``.
     nu : float, optional
@@ -72,8 +71,8 @@ class KernelSpec:
     def __post_init__(self):
         if not (-1.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (-1, 1], got {self.gamma}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.angular not in (HARD_SPHERE, POWER_LAW):
             raise ValueError(f"unknown angular family {self.angular!r}")
         if self.angular == POWER_LAW:
@@ -151,60 +150,52 @@ def _power_law_mass(eps, nu):
     return (eps ** (-nu) - np.pi ** (-nu)) / nu
 
 
-def angular_mass(spec, epsilon=None):
-    """Total mass of the angular measure on ``[epsilon, pi]``.
+def angular_mass(spec):
+    """Total mass of the angular measure on ``[spec.epsilon, pi]``.
+
+    ``KernelSpec`` guarantees a power-law cutoff ``epsilon > 0``, so the
+    mass is finite.
 
     Parameters
     ----------
     spec : KernelSpec
-    epsilon : float, optional
-        Cutoff overriding ``spec.epsilon``.
 
     Returns
     -------
     float
     """
-    eps = spec.epsilon if epsilon is None else float(epsilon)
-    if not (0.0 <= eps <= np.pi):
-        raise ValueError(f"epsilon must lie in [0, pi], got {eps}")
     if spec.angular == HARD_SPHERE:
-        return float(_hard_sphere_mass(eps))
-    if eps == 0.0:
-        raise ValueError("power_law has infinite mass without a cutoff")
-    return float(_power_law_mass(eps, spec.nu))
+        return float(_hard_sphere_mass(spec.epsilon))
+    return float(_power_law_mass(spec.epsilon, spec.nu))
 
 
-def sample_theta(spec, u, epsilon=None):
+def sample_theta(spec, u):
     """Inverse-CDF sample of the polar angle from ``Q`` on ``[eps, pi]``.
 
-    ``u = 0`` maps to the cutoff ``eps`` and ``u -> 1`` to ``pi``.  For
-    the hard-sphere family with ``eps = 0`` the closed form is
-    ``theta = 2 asin(sqrt(u))``.
+    ``eps = spec.epsilon``.  ``u = 0`` maps to the cutoff and ``u -> 1``
+    to ``pi``.  For the hard-sphere family with ``eps = 0`` the closed
+    form is ``theta = 2 asin(sqrt(u))``.
 
     Parameters
     ----------
     spec : KernelSpec
     u : float or array_like
-        Uniform variates in ``[0, 1)``.
-    epsilon : float, optional
-        Cutoff overriding ``spec.epsilon``.
+        Uniform variates in ``[0, 1)``; NaN is rejected.
 
     Returns
     -------
     float or numpy.ndarray
         Angles in ``[eps, pi]``.
     """
-    eps = spec.epsilon if epsilon is None else float(epsilon)
+    eps = spec.epsilon
     u_ = np.asarray(u, dtype=np.float64)
-    if np.any((u_ < 0.0) | (u_ >= 1.0)):
+    if np.any(~((u_ >= 0.0) & (u_ < 1.0))):
         raise ValueError("u must lie in [0, 1)")
     if spec.angular == HARD_SPHERE:
         # CDF(t) = (sin^2(t/2) - sin^2(eps/2)) / (1 - sin^2(eps/2))
         s0 = np.sin(0.5 * eps) ** 2
         out = 2.0 * np.arcsin(np.sqrt(s0 + u_ * (1.0 - s0)))
     else:
-        if eps == 0.0:
-            raise ValueError("power_law sampling requires a cutoff")
         nu = spec.nu
         a = eps ** (-nu)
         b = np.pi ** (-nu)
@@ -212,26 +203,6 @@ def sample_theta(spec, u, epsilon=None):
     if np.isscalar(u) or u_.ndim == 0:
         return float(out)
     return out
-
-
-def theta_first_moment(spec, epsilon=None):
-    """First moment ``int_[eps, pi] theta Q(dtheta)``.
-
-    Closed forms for both families: hard sphere gives
-    ``(pi - sin(eps) + eps cos(eps)) / 2`` and power law gives
-    ``(pi**(1-nu) - eps**(1-nu)) / (1 - nu)``.  Both stay finite at
-    ``eps = 0`` (grazing collisions have summable angle even when their
-    count diverges).
-
-    Returns
-    -------
-    float
-    """
-    eps = spec.epsilon if epsilon is None else float(epsilon)
-    if spec.angular == HARD_SPHERE:
-        return float(0.5 * (np.pi - np.sin(eps) + eps * np.cos(eps)))
-    nu = spec.nu
-    return float((np.pi ** (1.0 - nu) - eps ** (1.0 - nu)) / (1.0 - nu))
 
 
 def _power_law_cos_mass(eps, nu, a):

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import (
-    MollifiedEmpiricalModel,
     maxwell_abs_moment,
     pair_kernel,
     pair_sq_distances,
@@ -127,10 +126,13 @@ class ParticleEnsemble:
             raise ValueError("positions and velocities must both be (N, 3)")
         if len(self.positions) < 2:
             raise ValueError("an ensemble needs at least two particles")
-        if not (self.h_x > 0.0 and self.h_v > 0.0):
-            raise ValueError("bandwidths must be positive")
-        if not self.side > 0.0:
-            raise ValueError("box side must be positive")
+        # negated comparisons, so that NaN fails them too
+        if not (0.0 < self.h_x < math.inf and 0.0 < self.h_v < math.inf):
+            raise ValueError("bandwidths must be positive and finite")
+        if not 0.0 < self.side < math.inf:
+            raise ValueError("box side must be positive and finite")
+        if not -math.inf < self.time < math.inf:
+            raise ValueError(f"time must be finite, got {self.time}")
         if self.mode not in (ONE_SIDED, SYMMETRIC_PAIR):
             raise ValueError(f"unknown coupling mode {self.mode!r}")
         if not (
@@ -165,16 +167,6 @@ class ParticleEnsemble:
     def energy(self):
         """Total kinetic energy ``sum_i |v_i|^2``."""
         return float((self.velocities**2).sum())
-
-    def to_empirical_model(self):
-        """Mollified density view of the current snapshot."""
-        return MollifiedEmpiricalModel(
-            self.positions,
-            self.velocities,
-            h_x=self.h_x,
-            h_v=self.h_v,
-            side=self.side,
-        )
 
 
 def default_bandwidths(n, side=1.0, vel_var=1.0):
@@ -360,7 +352,8 @@ def step_ensemble(ens, spec, dt, rng):
 
     The window is subdivided so every particle's candidate probability
     per sub-window stays at or below 0.1: each sub-window is capped by
-    the largest actual rate on the frozen snapshot at its start.
+    the largest actual rate on the frozen snapshot at its start.  A rate
+    that overflows raises, since no window could then be cut.
     """
     if spec.gamma < 0.0:
         raise ValueError("soft potentials admit no candidate envelope")
@@ -383,6 +376,8 @@ def step_ensemble(ens, spec, dt, rng):
             for rows in pair_blocks(n, n)
         ])
         peak = rates.max()
+        if not peak < math.inf:
+            raise ValueError(f"candidate rate is not finite: {peak}")
         if peak <= 0.0:
             sub = remaining
         else:

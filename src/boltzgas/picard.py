@@ -64,6 +64,9 @@ __all__ = [
     "contraction_profile",
 ]
 
+# one-sided 95% normal quantile: a step counts as an increase only past it
+_INCREASE_Z = 1.645
+
 
 @dataclass
 class FrozenNoise:
@@ -276,12 +279,12 @@ class ContractionReport:
         zero = self.distances == 0.0
         return np.where(zero.any(axis=1), zero.argmax(axis=1) + 1, 0)
 
-    def nonincreasing_from(self, start=2, z=1.645):
+    def nonincreasing_from(self, start=2):
         """True when no step ``n >= start`` shows a significant increase."""
         drops, se = self.paired_decrements(start)
         if len(drops) == 0:
             return True
-        return bool(np.all(drops >= -z * se))
+        return bool(np.all(drops >= -_INCREASE_Z * se))
 
 
 def contraction_profile(

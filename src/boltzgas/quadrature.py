@@ -44,8 +44,11 @@ __all__ = [
     "pair_blocks",
 ]
 
-# Pairs held in memory at once by every row-by-column computation: one
-# (3, rows, centres) float64 block of displacement planes is under 50 MB.
+# Pairs held in memory at once by every row-by-column computation.  It
+# bounds pairs, not bytes: a block holds as many arrays per pair as its
+# routine needs; one radial_gaussian_moment block, about a dozen arrays
+# per pair, raised peak RSS by 218 MB.  ROADMAP item 15 plans a budget in
+# bytes.
 _PAIR_BUDGET = 2_000_000
 
 # Gauss-Legendre nodes of each speed's radial tail window and of the head

@@ -33,9 +33,9 @@ from boltzgas.diagnostics import (
     Energy,
     LinearMomentum,
     Quadratic,
+    collision_action,
     collision_invariant_residual,
     collision_symmetry_gap,
-    energy_flow_values,
     energy_rhs_report,
     exit_statistics,
     gaussian_kl,
@@ -393,7 +393,7 @@ def test_criterion_09_energy_flow_identity():
         ) / (2.0 * h)
         fd = float(slopes.mean())
         fd_se = float(slopes.std(ddof=1) / math.sqrt(n_paths))
-        flows = energy_flow_values(UNIT_BOX, HARD, vel_mid)
+        flows = collision_action(UNIT_BOX, HARD, Energy(), 0.0, vel_mid)
         quad = float(flows.mean())
         quad_se = float(flows.std(ddof=1) / math.sqrt(n_paths))
         band = 3.0 * math.hypot(fd_se, quad_se)

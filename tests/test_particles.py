@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boltzgas import kernels, particles
-from boltzgas.densities import MollifiedEmpiricalModel, maxwell_abs_moment, wrap_position
+from boltzgas.densities import maxwell_abs_moment, wrap_position
 from boltzgas.engine import EnvelopeError, check_envelope
 from boltzgas.geometry import deflection_alpha
 from boltzgas.kernels import angular_mass, sample_theta, sigma_weight
@@ -130,7 +130,8 @@ class TestEnsembleValidation:
             )
 
     def test_degenerate_bandwidth_rejected(self):
-        for h_x, h_v in [(0.0, 0.1), (0.1, -1.0)]:
+        # an infinite h_x used to run a step with no collision at all
+        for h_x, h_v in [(0.0, 0.1), (0.1, -1.0), (math.inf, 0.1), (0.1, math.nan)]:
             with pytest.raises(ValueError, match="bandwidths"):
                 particles.ParticleEnsemble(
                     positions=np.zeros((3, 3)),
@@ -138,6 +139,29 @@ class TestEnsembleValidation:
                     h_x=h_x,
                     h_v=h_v,
                 )
+
+    @pytest.mark.parametrize("side", [math.inf, math.nan])
+    def test_side_must_be_finite(self, side):
+        # an infinite side used to fold a negative coordinate to NaN
+        with pytest.raises(ValueError, match="side must be positive and finite"):
+            particles.ParticleEnsemble(
+                positions=[[-0.2, 0.1, 0.1], [0.3, 0.4, 0.5]],
+                velocities=np.zeros((2, 3)),
+                h_x=0.1,
+                h_v=0.1,
+                side=side,
+            )
+
+    @pytest.mark.parametrize("time", [math.inf, -math.inf, math.nan])
+    def test_time_must_be_finite(self, time):
+        with pytest.raises(ValueError, match="time must be finite"):
+            particles.ParticleEnsemble(
+                positions=np.zeros((2, 3)),
+                velocities=np.zeros((2, 3)),
+                h_x=0.1,
+                h_v=0.1,
+                time=time,
+            )
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -287,6 +311,13 @@ class TestStepMechanics:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             particles.step_ensemble(small_ensemble(), FLAT, -0.1, stream(1, 1))
+
+    def test_overflowing_rate_rejected(self):
+        # the pair rate overflows to inf, whose window 0.1 / inf = 0 used
+        # to leave the remaining time unchanged forever
+        huge = kernels.KernelSpec(gamma=0.0, c=1e308, angular=kernels.HARD_SPHERE)
+        with pytest.raises(ValueError, match="rate is not finite"):
+            particles.step_ensemble(small_ensemble(n=2), huge, 0.1, stream(1, 1))
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
     def test_nonfinite_dt_rejected(self, dt):
@@ -616,19 +647,3 @@ class TestEvolveEnsemble:
         )
         assert snaps == []
         assert_allclose(final.time, 0.3)
-
-
-class TestEmpiricalBridge:
-    def test_snapshot_becomes_density_model(self):
-        ens = small_ensemble(seed=10, n=300)
-        model = ens.to_empirical_model()
-        assert isinstance(model, MollifiedEmpiricalModel)
-        assert model.box_side == ens.side
-        x = np.array([[0.5, 0.5, 0.5]])
-        v = np.array([[0.0, 0.0, 0.0]])
-        assert model.evaluate(0.0, x, v)[0] > 0.0
-
-    def test_wide_bandwidth_rejected_by_bridge(self):
-        ens = small_ensemble(seed=10, n=20, h_x=0.3)
-        with pytest.raises(ValueError, match="width"):
-            ens.to_empirical_model()

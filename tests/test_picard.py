@@ -136,6 +136,12 @@ class TestFrozenNoise:
             with pytest.raises(ValueError, match="level"):
                 picard.frozen_noise(BOX, SPEC, bad, 1.0, stream(1, 0))
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        # -1 and NaN used to fail deep in the candidate draw
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            picard.frozen_noise(BOX, SPEC, 4.0, horizon, stream(1, 0))
+
 
 def _empirical_snapshot():
     rng = np.random.default_rng(3)
